@@ -267,9 +267,14 @@ def artifact_report(
 
     Tonal candidates are the predicted replica frequencies. The filtering
     verdict trips when any band beyond band 0 is attenuated by more than
-    attenuation_threshold_db.
+    attenuation_threshold_db. The spectrum's rate must be fs_in * factor;
+    any other pairing would place the replicas wrongly.
     """
     replicas = replica_frequencies(fs_in, factor)
+    if spectrum.sample_rate_hz != fs_in * factor:
+        raise ValueError(
+            f"spectrum rate {spectrum.sample_rate_hz} Hz is not fs_in * factor = {fs_in} * {factor} Hz"
+        )
     peaks = detect_tonal_peaks(spectrum, replicas, threshold_db=threshold_db)
     bands = band_attenuation(spectrum, fs_in, factor)
     return ArtifactReport(

@@ -18,6 +18,7 @@ from . import analysis as ana
 from . import signals as sig
 from .upsamplers import (
     HAAR_PARAMS,
+    KINDS,
     LiftingParams,
     UpsamplerSpec,
     WaveletFilters,
@@ -29,18 +30,6 @@ from .upsamplers import (
     sinc_filter,
     triangular_filter,
     wavelet_roundtrip,
-)
-
-LAYER_CHOICES = (
-    "stretch",
-    "nearest",
-    "linear",
-    "sinc",
-    "transposed",
-    "subpixel",
-    "wavelet-lazy",
-    "wavelet-haar",
-    "wavelet-lifting",
 )
 
 
@@ -157,12 +146,6 @@ def cmd_analyze(args) -> int:
     if (args.fs_in is None) != (args.factor is None):
         raise ValueError("replica prediction requires both --fs-in and --factor")
     signal = sig.read_wav(getattr(args, "in"))
-    spect = ana.spectrogram(signal, args.stft_size, args.hop, args.window)
-    if args.csv:
-        _write_csv(args.csv, spect.magnitudes_db)
-    if args.pgm:
-        _write_pgm(args.pgm, spect)
-
     artifacts = None
     if args.fs_in is not None:
         spectrum = ana.avg_spectrum(signal, args.stft_size)
@@ -179,6 +162,12 @@ def cmd_analyze(args) -> int:
             "tonal_detected": bool(report.tonal_detected),
             "filtering_detected": bool(report.filtering_detected),
         }
+
+    spect = ana.spectrogram(signal, args.stft_size, args.hop, args.window)
+    if args.csv:
+        _write_csv(args.csv, spect.magnitudes_db)
+    if args.pgm:
+        _write_pgm(args.pgm, spect)
 
     body = {
         "schema": 1,
@@ -484,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     ups = sub.add_parser("upsample", help="apply an upsampling layer to a WAV file")
     ups.add_argument("--in", required=True, dest="in")
     ups.add_argument("--out", required=True)
-    ups.add_argument("--layer", required=True, choices=LAYER_CHOICES)
+    ups.add_argument("--layer", required=True, choices=KINDS)
     ups.add_argument("--factor", type=int, default=None)
     ups.add_argument("--length", type=int, default=None, help="filter length for transposed/subpixel")
     ups.add_argument("--stride", type=int, default=None, help="stride for transposed")
@@ -515,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     anl.set_defaults(func=cmd_analyze)
 
     ver = sub.add_parser("verify", help="run invariant suites with fixed seeds")
-    ver.add_argument("--suite", choices=("pr", "response", "tonal", "grads", "all"), default="all")
+    ver.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -108,18 +108,13 @@ def random_filters(spec: UpsamplerSpec) -> np.ndarray:
 
 
 def _apply_conv(spec: UpsamplerSpec, x: Signal) -> Signal:
+    """The seeded single-channel layer, run on every channel of x independently."""
     w = random_filters(spec)
-    rows = []
-    rate = None
-    for c in range(x.channels):
-        fm = convolution.FeatureMap(x.data[c], x.sample_rate_hz)
-        if spec.kind == "transposed":
-            out = convolution.transposed_conv(fm, w, spec.stride)
-        else:
-            out = convolution.subpixel_conv(fm, w, spec.factor)
-        rows.append(out.data[0])
-        rate = out.sample_rate_hz
-    return Signal(np.stack(rows), rate)
+    if spec.kind == "transposed":
+        y = convolution._transposed(x.data, w[0, 0], spec.stride)
+    else:
+        y = convolution._subpixel(x.data, w[:, 0])
+    return Signal(y, spec.factor * x.sample_rate_hz)
 
 
 def _apply_wavelet_synthesis(spec: UpsamplerSpec, x: Signal) -> Signal:

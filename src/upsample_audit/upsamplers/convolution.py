@@ -1,13 +1,13 @@
-"""Transposed and subpixel convolution upsamplers plus the overlap taxonomy.
+"""The polyphase kernel, transposed and subpixel convolution, periodic shuffle.
 
-FeatureMap is the multichannel intermediate these layers operate on; a
-single-channel FeatureMap is interchangeable with a Signal via the helpers
-at the bottom.
+Every interpolator and convolution layer computes the same thing: M branch
+filters b_j, each convolved with the input, their outputs interleaved as
+y[qM+j] = (x * b_j)[q]. `_polyphase` is that computation; the layers
+differ only in their branches and in the window of the full output they
+keep. Layers take and return Signal, one row of data per channel.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,37 +18,38 @@ FULL_OVERLAP = "full-overlap"
 PARTIAL_OVERLAP = "partial-overlap"
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """channels x time matrix of activations with a sample rate."""
+def _polyphase(x: np.ndarray, branches: np.ndarray, start: int, length: int) -> np.ndarray:
+    """Rows of x (C, K) through branches (M, T), interleaved, cropped to [start, start+length).
 
-    data: np.ndarray
-    sample_rate_hz: int
+    The full output has M*(K+T-1) samples per row: y[c, qM+j] = (x[c] * b_j)[q].
+    All-zero branches (M-1 of stretch's M) are left at zero instead of convolved.
+    """
+    channels, steps = x.shape
+    m, taps = branches.shape
+    full = np.zeros((channels, steps + taps - 1, m))
+    live = np.flatnonzero(branches.any(axis=1))
+    for c in range(channels):
+        for j in live:
+            full[c, :, j] = np.convolve(x[c], branches[j])
+    return full.reshape(channels, -1)[:, start : start + length]
 
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[np.newaxis, :]
-        if arr.ndim != 2:
-            raise ValueError(f"feature map must be 1D or 2D, got ndim={arr.ndim}")
-        if arr.shape[1] == 0:
-            raise ValueError("feature map must contain at least one time step")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("feature map values must be finite")
-        if int(self.sample_rate_hz) <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
+def _branches(h: np.ndarray, m: int) -> np.ndarray:
+    """Polyphase split b_j = h[j::M] as an (M, ceil(L/M)) array, zero-padded."""
+    padded = np.zeros(-(-len(h) // m) * m)
+    padded[: len(h)] = h
+    return padded.reshape(-1, m).T
 
-    @property
-    def num_steps(self) -> int:
-        return self.data.shape[1]
+
+def _transposed(x: np.ndarray, h: np.ndarray, stride: int) -> np.ndarray:
+    """Rows of x through one transposed-conv kernel: full (K-1)*stride + L samples."""
+    return _polyphase(x, _branches(h, stride), 0, (x.shape[1] - 1) * stride + len(h))
+
+
+def _subpixel(x: np.ndarray, branches: np.ndarray) -> np.ndarray:
+    """Rows of x through M same-padded sub-filters, interleaved: M*K samples."""
+    m, length = branches.shape
+    return _polyphase(x, branches, m * ((length - 1) // 2), m * x.shape[1])
 
 
 def classify_overlap(length: int, stride: int) -> str:
@@ -79,7 +80,7 @@ def _check_filters(filters: np.ndarray, in_channels: int) -> np.ndarray:
     return w
 
 
-def transposed_conv(x: FeatureMap, filters: np.ndarray, stride: int) -> FeatureMap:
+def transposed_conv(x: Signal, filters: np.ndarray, stride: int) -> Signal:
     """y_o[n] = sum_c sum_k x_c[k] * w_{o,c}[n - k*stride].
 
     Each input sample stamps a weighted copy of the kernel every `stride`
@@ -93,20 +94,16 @@ def transposed_conv(x: FeatureMap, filters: np.ndarray, stride: int) -> FeatureM
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
     w = _check_filters(filters, x.channels)
-    length = w.shape[2]
-    if length < stride:
-        raise ValueError(f"filter length {length} must be at least the stride {stride}")
-    steps = x.num_steps
-    stuffed = np.zeros((x.channels, (steps - 1) * stride + 1))
-    stuffed[:, ::stride] = x.data
-    out = np.zeros((w.shape[0], (steps - 1) * stride + length))
+    if w.shape[2] < stride:
+        raise ValueError(f"filter length {w.shape[2]} must be at least the stride {stride}")
+    out = np.zeros((w.shape[0], (x.num_samples - 1) * stride + w.shape[2]))
     for o in range(w.shape[0]):
         for c in range(x.channels):
-            out[o] += np.convolve(stuffed[c], w[o, c], mode="full")
-    return FeatureMap(out, stride * x.sample_rate_hz)
+            out[o] += _transposed(x.data[c : c + 1], w[o, c], stride)[0]
+    return Signal(out, stride * x.sample_rate_hz)
 
 
-def periodic_shuffle(z: FeatureMap, m: int) -> FeatureMap:
+def periodic_shuffle(z: Signal, m: int) -> Signal:
     """Interleave channel groups into time: y_c[kM+j] = z_{cM+j}[k].
 
     Bijective; m=1 is the identity. The channel count must be divisible
@@ -118,32 +115,32 @@ def periodic_shuffle(z: FeatureMap, m: int) -> FeatureMap:
     if z.channels % m:
         raise ValueError(f"channel count {z.channels} not divisible by factor {m}")
     c_out = z.channels // m
-    data = z.data.reshape(c_out, m, z.num_steps)
-    out = data.transpose(0, 2, 1).reshape(c_out, z.num_steps * m)
-    return FeatureMap(out, m * z.sample_rate_hz)
+    data = z.data.reshape(c_out, m, z.num_samples)
+    out = data.transpose(0, 2, 1).reshape(c_out, z.num_samples * m)
+    return Signal(out, m * z.sample_rate_hz)
 
 
-def periodic_unshuffle(y: FeatureMap, m: int) -> FeatureMap:
+def periodic_unshuffle(y: Signal, m: int) -> Signal:
     """Inverse of periodic_shuffle: split time into m interleaved channels."""
     m = int(m)
     if m < 1:
         raise ValueError(f"shuffle factor must be positive, got {m}")
-    if y.num_steps % m:
-        raise ValueError(f"time length {y.num_steps} not divisible by factor {m}")
+    if y.num_samples % m:
+        raise ValueError(f"time length {y.num_samples} not divisible by factor {m}")
     if y.sample_rate_hz % m:
         raise ValueError(f"sample rate {y.sample_rate_hz} not divisible by factor {m}")
-    steps = y.num_steps // m
+    steps = y.num_samples // m
     data = y.data.reshape(y.channels, steps, m)
     out = data.transpose(0, 2, 1).reshape(y.channels * m, steps)
-    return FeatureMap(out, y.sample_rate_hz // m)
+    return Signal(out, y.sample_rate_hz // m)
 
 
-def subpixel_conv(x: FeatureMap, filters: np.ndarray, m: int) -> FeatureMap:
+def subpixel_conv(x: Signal, filters: np.ndarray, m: int) -> Signal:
     """Same-padded stride-1 convolution to M*C_out channels, then periodic shuffle.
 
-    The M interleaved streams come from different sub-filters; when their
-    energies differ, the interleaving imprints an M-periodic pattern on
-    the output.
+    Output channel o interleaves the M streams of filters oM..oM+M-1, so
+    the shuffle is the kernel's interleave. When the sub-filters' energies
+    differ, the interleaving imprints an M-periodic pattern on the output.
     """
     m = int(m)
     if m < 1:
@@ -151,17 +148,8 @@ def subpixel_conv(x: FeatureMap, filters: np.ndarray, m: int) -> FeatureMap:
     w = _check_filters(filters, x.channels)
     if w.shape[0] % m:
         raise ValueError(f"filter output-channel count {w.shape[0]} not divisible by factor {m}")
-    z = np.zeros((w.shape[0], x.num_steps))
-    for o in range(w.shape[0]):
+    out = np.zeros((w.shape[0] // m, m * x.num_samples))
+    for o in range(out.shape[0]):
         for c in range(x.channels):
-            z[o] += np.convolve(x.data[c], w[o, c], mode="same")
-    return periodic_shuffle(FeatureMap(z, x.sample_rate_hz), m)
-
-
-def feature_map_of(signal: Signal) -> FeatureMap:
-    """View a Signal's channels as a feature map at the same rate."""
-    return FeatureMap(signal.data, signal.sample_rate_hz)
-
-
-def as_signal(fm: FeatureMap) -> Signal:
-    return Signal(fm.data, fm.sample_rate_hz)
+            out[o] += _subpixel(x.data[c : c + 1], w[o * m : (o + 1) * m, c])[0]
+    return Signal(out, m * x.sample_rate_hz)

@@ -1,10 +1,11 @@
 """Interpolation upsamplers: stretch, nearest neighbor, linear, windowed sinc.
 
 Each interpolator is zero-insertion upsampling (stretch) followed by a fixed
-FIR filter; they differ only in the filter. All filters are amplitude
-preserving (DC gain M) so a constant input maps to the same constant, and
-each output is cropped to exactly M*K samples. Convolutions zero-pad at the
-boundaries.
+FIR filter h; they differ only in the filter (stretch's is [1]). Each runs
+as h's M polyphase branches b_j = h[j::M] through the kernel in
+convolution.py. All filters are amplitude preserving (DC gain M) so a
+constant input maps to the same constant, and each output is cropped to
+exactly M*K samples. Convolutions zero-pad at the boundaries.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..signals import Signal
+from .convolution import _branches, _polyphase
 
 
 def _check_factor(m: int) -> int:
@@ -61,21 +63,9 @@ def sinc_filter(m: int, taps: int | None = None) -> np.ndarray:
     return h
 
 
-def _per_channel(x: Signal, m: int, func) -> Signal:
-    out = np.stack([func(x.data[c]) for c in range(x.channels)])
-    return Signal(out, m * x.sample_rate_hz)
-
-
-def _stretch1(x: np.ndarray, m: int) -> np.ndarray:
-    y = np.zeros(len(x) * m)
-    y[::m] = x
-    return y
-
-
-def _filtered1(x: np.ndarray, m: int, h: np.ndarray, causal: bool) -> np.ndarray:
-    y = np.convolve(_stretch1(x, m), h, mode="full")
-    start = 0 if causal else (len(h) - 1) // 2
-    return y[start : start + m * len(x)]
+def _interpolate(x: Signal, m: int, h: np.ndarray, start: int) -> Signal:
+    """Stretch, filter by h, keep M*K samples from `start`; run as h's M polyphase branches."""
+    return Signal(_polyphase(x.data, _branches(h, m), start, m * x.num_samples), m * x.sample_rate_hz)
 
 
 def stretch(x: Signal, m: int) -> Signal:
@@ -85,7 +75,7 @@ def stretch(x: Signal, m: int) -> Signal:
     replica of the input spectrum lands in band, unattenuated.
     """
     m = _check_factor(m)
-    return _per_channel(x, m, lambda ch: _stretch1(ch, m))
+    return _interpolate(x, m, np.ones(1), 0)
 
 
 def nearest_neighbor(x: Signal, m: int) -> Signal:
@@ -95,7 +85,7 @@ def nearest_neighbor(x: Signal, m: int) -> Signal:
     copies each input sample forward.
     """
     m = _check_factor(m)
-    return _per_channel(x, m, lambda ch: np.repeat(ch, m))
+    return _interpolate(x, m, rectangular_filter(m), 0)
 
 
 def linear_interpolate(x: Signal, m: int) -> Signal:
@@ -106,12 +96,11 @@ def linear_interpolate(x: Signal, m: int) -> Signal:
     last input sample decays toward the zero padding.
     """
     m = _check_factor(m)
-    h = triangular_filter(m)
-    return _per_channel(x, m, lambda ch: _filtered1(ch, m, h, causal=False))
+    return _interpolate(x, m, triangular_filter(m), m - 1)
 
 
 def sinc_interpolate(x: Signal, m: int, taps: int | None = None) -> Signal:
     """Stretch followed by the centered Hann-windowed sinc filter (bandlimited interpolation)."""
     m = _check_factor(m)
     h = sinc_filter(m, taps)
-    return _per_channel(x, m, lambda ch: _filtered1(ch, m, h, causal=False))
+    return _interpolate(x, m, h, (len(h) - 1) // 2)

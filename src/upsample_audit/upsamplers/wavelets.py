@@ -16,7 +16,8 @@ band; both reconstruct perfectly.
 
 Odd-length inputs are zero-padded by one trailing sample before the
 split; the pad is flagged on the output bands' metadata and trimmed again
-by synthesis.
+by synthesis. Analysis halves the sample rate exactly, so it refuses odd
+rates instead of rounding them.
 """
 
 from __future__ import annotations
@@ -101,7 +102,9 @@ def _split(x: Signal):
 
 
 def _band_pair(x: Signal, coarse: np.ndarray, detail: np.ndarray, padded: bool):
-    rate = max(x.sample_rate_hz // 2, 1)
+    if x.sample_rate_hz % 2:
+        raise ValueError(f"wavelet analysis needs an even sample rate, got {x.sample_rate_hz} Hz")
+    rate = x.sample_rate_hz // 2
     return Signal(coarse, rate, padded=padded), Signal(detail, rate, padded=padded)
 
 

@@ -284,12 +284,10 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
     identical = blobs[0] == blobs[1]
 
     # Shuffle/unshuffle identity on assorted shapes.
-    from upsample_audit.upsamplers import FeatureMap
-
     shuffle_exact = True
     rng = _rng(20260810)
     for channels, steps, m in ((4, 32, 2), (8, 7, 8), (6, 10, 3), (2, 5, 1)):
-        z = FeatureMap(rng.random((channels, steps)), FS_IN)
+        z = Signal(rng.random((channels, steps)), FS_IN)
         back = periodic_unshuffle(periodic_shuffle(z, m), m)
         shuffle_exact &= bool(np.array_equal(back.data, z.data))
 

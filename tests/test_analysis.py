@@ -5,7 +5,7 @@ import pytest
 
 from upsample_audit import analysis as ana
 from upsample_audit.signals import Signal, ones, tone, white_noise
-from upsample_audit.upsamplers import LiftingParams, UpsamplerSpec
+from upsample_audit.upsamplers import LiftingParams, UpsamplerSpec, apply, random_filters
 
 
 def _flat_spectrum(db_value, bins=257, fs=8000, frames=16):
@@ -218,6 +218,46 @@ class TestArtifactReport:
         assert report.filtering_detected
         assert not report.tonal_detected
         assert report.band_attenuation_db[-1] < -30.0
+
+    @pytest.mark.parametrize("fs_in,factor", [(8000, 2), (8000, 8), (4000, 4)])
+    def test_rate_inconsistent_arguments_rejected(self, fs_in, factor):
+        from upsample_audit.upsamplers import stretch
+
+        spec = ana.avg_spectrum(stretch(ones(1 << 15, 8000), 4))
+        with pytest.raises(ValueError, match="spectrum rate 32000 Hz is not fs_in"):
+            ana.artifact_report(spec, fs_in, factor)
+
+
+def _branch_sums(spec):
+    """Sum of each of the M polyphase branches, built from the layer's filters."""
+    m = spec.factor
+    if spec.kind == "stretch":
+        return np.eye(m)[0]
+    w = random_filters(spec)
+    if spec.kind == "transposed":
+        return np.array([w[0, 0, j::m].sum() for j in range(m)])
+    return w[:, 0, :].sum(axis=1)
+
+
+class TestTonalLevelsClosedForm:
+    # A constant input leaves the M-periodic sequence of branch sums s_j, whose
+    # line at k*fs_in has amplitude |DFT_k(s)| / M.
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            UpsamplerSpec(kind="stretch", factor=4),
+            UpsamplerSpec(kind="transposed", factor=4, filter_length=9, stride=4, seed=101),
+            UpsamplerSpec(kind="subpixel", factor=4, filter_length=9, seed=201),
+        ],
+        ids=["stretch", "transposed-L9-seed101", "subpixel-L9-seed201"],
+    )
+    def test_line_levels_match_branch_sums(self, spec):
+        spectrum = ana.avg_spectrum(apply(spec, ones(1 << 15, 8000)))
+        predicted = 20.0 * np.log10(np.abs(np.fft.fft(_branch_sums(spec))[1:3]) / spec.factor)
+        bins = [int(np.argmin(np.abs(spectrum.freqs_hz - k * 8000.0))) for k in (1, 2)]
+        measured = spectrum.magnitude_db[bins]
+        print(f"{spec.kind}: measured {np.round(measured, 3)} dB, predicted {np.round(predicted, 3)} dB")
+        np.testing.assert_allclose(measured, predicted, atol=0.01)
 
 
 class TestMeasureResponse:

@@ -148,6 +148,17 @@ class TestUpsample:
             expect=2,
         )
 
+    def test_wavelet_round_trip_refuses_odd_rates(self, tmp_path):
+        src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 11025)
+        out = tmp_path / "rt.wav"
+        proc = run_cli(
+            "upsample", "--in", src, "--out", out, "--layer", "wavelet-haar",
+            "--factor", 2, "--wavelet-mode", "roundtrip",
+            expect=2,
+        )
+        assert proc.stderr.splitlines() == ["error: wavelet analysis needs an even sample rate, got 11025 Hz"]
+        assert not out.exists()
+
 
 @pytest.fixture()
 def stretched_ones(tmp_path):
@@ -227,6 +238,17 @@ class TestAnalyze:
             expect=2,
         )
         assert "error:" in proc.stderr
+
+    def test_rate_inconsistent_with_fs_in_and_factor_is_refused(self, stretched_ones, tmp_path):
+        report, csv = tmp_path / "r.json", tmp_path / "s.csv"
+        proc = run_cli(
+            "analyze", "--in", stretched_ones, "--report", report, "--csv", csv,
+            "--fs-in", 8000, "--factor", 2,
+            expect=2,
+        )
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: spectrum rate 32000 Hz is not fs_in * factor")
+        assert not report.exists() and not csv.exists()
 
 
 class TestVerify:

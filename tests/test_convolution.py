@@ -8,11 +8,9 @@ from upsample_audit.upsamplers import (
     FULL_OVERLAP,
     NO_OVERLAP,
     PARTIAL_OVERLAP,
-    FeatureMap,
     UpsamplerSpec,
-    as_signal,
+    apply,
     classify_overlap,
-    feature_map_of,
     periodic_shuffle,
     periodic_unshuffle,
     random_filters,
@@ -49,33 +47,16 @@ class TestClassifyOverlap:
             classify_overlap(4, 0)
 
 
-class TestFeatureMap:
-    def test_round_trip_with_signal(self):
-        x = white_noise(32, 8000, 4)
-        fm = feature_map_of(x)
-        assert fm.channels == 1
-        assert fm.num_steps == 32
-        back = as_signal(fm)
-        np.testing.assert_array_equal(back.data, x.data)
-        assert back.sample_rate_hz == 8000
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="finite"):
-            FeatureMap(np.array([[np.inf]]), 8000)
-        with pytest.raises(ValueError):
-            FeatureMap(np.zeros((1, 0)), 8000)
-
-
 class TestTransposedConv:
     def test_impulse_reproduces_the_kernel(self):
-        z = FeatureMap(np.array([[1.0]]), 8000)
+        z = Signal(np.array([[1.0]]), 8000)
         w = np.arange(1.0, 6.0).reshape(1, 1, 5)
         y = transposed_conv(z, w, 4)
         np.testing.assert_array_equal(y.data[0], [1, 2, 3, 4, 5])
         assert y.sample_rate_hz == 32000
 
     def test_full_overlap_sums_neighbor_contributions(self):
-        z = FeatureMap(np.array([[1.0, 1.0]]), 8000)
+        z = Signal(np.array([[1.0, 1.0]]), 8000)
         w = np.ones((1, 1, 8))
         y = transposed_conv(z, w, 4)
         np.testing.assert_array_equal(
@@ -84,12 +65,12 @@ class TestTransposedConv:
 
     @pytest.mark.parametrize("steps,length,stride", [(5, 4, 4), (5, 8, 4), (3, 9, 4), (7, 6, 2)])
     def test_output_length(self, steps, length, stride):
-        z = FeatureMap(np.arange(float(steps))[None, :], 8000)
+        z = Signal(np.arange(float(steps))[None, :], 8000)
         y = transposed_conv(z, np.ones((1, 1, length)), stride)
-        assert y.num_steps == (steps - 1) * stride + length
+        assert y.num_samples == (steps - 1) * stride + length
 
     def test_input_channels_are_summed(self):
-        z = FeatureMap(np.array([[1.0, 0.0], [0.0, 1.0]]), 8000)
+        z = Signal(np.array([[1.0, 0.0], [0.0, 1.0]]), 8000)
         w = np.zeros((1, 2, 2))
         w[0, 0] = [1.0, 2.0]
         w[0, 1] = [10.0, 20.0]
@@ -97,45 +78,45 @@ class TestTransposedConv:
         np.testing.assert_array_equal(y.data[0], [1, 2, 10, 20])
 
     def test_multiple_output_channels(self):
-        z = FeatureMap(np.array([[1.0, 2.0]]), 8000)
+        z = Signal(np.array([[1.0, 2.0]]), 8000)
         w = np.stack([np.ones((1, 2)), 3.0 * np.ones((1, 2))])
         y = transposed_conv(z, w, 2)
         np.testing.assert_array_equal(y.data, [[1, 1, 2, 2], [3, 3, 6, 6]])
 
     def test_linearity(self):
         w = np.arange(12.0).reshape(1, 1, 12) / 12.0
-        za = FeatureMap(white_noise(20, 8000, 1).data, 8000)
-        zb = FeatureMap(white_noise(20, 8000, 2).data, 8000)
-        mix = FeatureMap(2.0 * za.data - 0.25 * zb.data, 8000)
+        za = Signal(white_noise(20, 8000, 1).data, 8000)
+        zb = Signal(white_noise(20, 8000, 2).data, 8000)
+        mix = Signal(2.0 * za.data - 0.25 * zb.data, 8000)
         lhs = transposed_conv(mix, w, 4).data
         rhs = 2.0 * transposed_conv(za, w, 4).data - 0.25 * transposed_conv(zb, w, 4).data
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_kernel_shorter_than_stride_rejected(self):
-        z = FeatureMap(np.ones((1, 4)), 8000)
+        z = Signal(np.ones((1, 4)), 8000)
         with pytest.raises(ValueError, match="length"):
             transposed_conv(z, np.ones((1, 1, 3)), 4)
 
     def test_channel_mismatch_rejected(self):
-        z = FeatureMap(np.ones((2, 4)), 8000)
+        z = Signal(np.ones((2, 4)), 8000)
         with pytest.raises(ValueError, match="channel"):
             transposed_conv(z, np.ones((1, 1, 4)), 4)
 
     def test_filter_rank_rejected(self):
-        z = FeatureMap(np.ones((1, 4)), 8000)
+        z = Signal(np.ones((1, 4)), 8000)
         with pytest.raises(ValueError, match="filters"):
             transposed_conv(z, np.ones((1, 4)), 4)
 
 
 class TestPeriodicShuffle:
     def test_example(self):
-        z = FeatureMap(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]), 8000)
+        z = Signal(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]), 8000)
         y = periodic_shuffle(z, 4)
         np.testing.assert_array_equal(y.data[0], [1, 3, 5, 7, 2, 4, 6, 8])
         assert y.sample_rate_hz == 32000
 
     def test_identity_for_factor_one(self):
-        z = FeatureMap(np.arange(6.0).reshape(2, 3), 8000)
+        z = Signal(np.arange(6.0).reshape(2, 3), 8000)
         y = periodic_shuffle(z, 1)
         np.testing.assert_array_equal(y.data, z.data)
         assert y.sample_rate_hz == 8000
@@ -143,52 +124,62 @@ class TestPeriodicShuffle:
     @pytest.mark.parametrize("channels,steps,m", [(4, 8, 2), (6, 5, 3), (8, 16, 8), (2, 1, 2)])
     def test_unshuffle_inverts_shuffle(self, channels, steps, m):
         rng = np.random.Generator(np.random.Philox(99))
-        z = FeatureMap(rng.random((channels, steps)), 8000)
+        z = Signal(rng.random((channels, steps)), 8000)
         back = periodic_unshuffle(periodic_shuffle(z, m), m)
         np.testing.assert_array_equal(back.data, z.data)
         assert back.sample_rate_hz == 8000
 
     def test_channel_divisibility_enforced(self):
-        z = FeatureMap(np.ones((3, 4)), 8000)
+        z = Signal(np.ones((3, 4)), 8000)
         with pytest.raises(ValueError, match="divisible"):
             periodic_shuffle(z, 2)
 
     def test_unshuffle_length_divisibility_enforced(self):
-        y = FeatureMap(np.ones((1, 5)), 8000)
+        y = Signal(np.ones((1, 5)), 8000)
         with pytest.raises(ValueError, match="divisible"):
             periodic_unshuffle(y, 2)
 
 
 class TestSubpixelConv:
     def test_single_tap_filters_reduce_to_shuffle(self):
-        z = FeatureMap(np.array([[1.0, 2.0], [3.0, 4.0]]), 8000)
+        z = Signal(np.array([[1.0, 2.0], [3.0, 4.0]]), 8000)
         w = np.ones((2, 2, 1)) * np.array([[1.0, 0.0], [0.0, 1.0]])[:, :, None]
         y = subpixel_conv(z, w, 2)
         np.testing.assert_array_equal(y.data[0], [1, 3, 2, 4])
 
     def test_identical_branch_filters_keep_constants_flat(self):
-        z = FeatureMap(np.ones((1, 64)), 8000)
+        z = Signal(np.ones((1, 64)), 8000)
         w = np.tile(np.array([0.2, 0.6, 0.2])[None, None, :], (4, 1, 1))
         y = subpixel_conv(z, w, 4)
         interior = y.data[0, 8:-8]
         np.testing.assert_allclose(interior, 1.0, atol=1e-12)
 
     def test_distinct_branch_gains_imprint_a_periodic_pattern(self):
-        z = FeatureMap(np.ones((1, 32)), 8000)
+        z = Signal(np.ones((1, 32)), 8000)
         w = np.zeros((4, 1, 1))
         w[:, 0, 0] = [1.0, 2.0, 3.0, 4.0]
         y = subpixel_conv(z, w, 4)
         np.testing.assert_array_equal(y.data[0].reshape(-1, 4), np.tile([1, 2, 3, 4], (32, 1)))
 
     def test_output_geometry(self):
-        z = FeatureMap(white_noise(25, 8000, 6).data, 8000)
+        z = Signal(white_noise(25, 8000, 6).data, 8000)
         y = subpixel_conv(z, np.ones((4, 1, 9)), 4)
-        assert y.num_steps == 100
+        assert y.num_samples == 100
         assert y.sample_rate_hz == 32000
         assert y.channels == 1
 
+    def test_input_shorter_than_the_filter(self):
+        x = white_noise(3, 8000, 0)
+        spec = UpsamplerSpec(kind="subpixel", factor=4, filter_length=9)
+        y = apply(spec, x)
+        assert y.num_samples == 12
+        assert y.sample_rate_hz == 32000
+        w = random_filters(spec)
+        branches = [np.convolve(x.data[0], w[j, 0])[4:7] for j in range(4)]
+        np.testing.assert_allclose(y.data[0], np.stack(branches, axis=1).reshape(-1), atol=1e-15)
+
     def test_output_channel_divisibility_enforced(self):
-        z = FeatureMap(np.ones((1, 8)), 8000)
+        z = Signal(np.ones((1, 8)), 8000)
         with pytest.raises(ValueError, match="divisible"):
             subpixel_conv(z, np.ones((3, 1, 5)), 2)
 

@@ -8,6 +8,7 @@ from upsample_audit.upsamplers import (
     HAAR_PARAMS,
     LAZY_PARAMS,
     LiftingParams,
+    UpsamplerSpec,
     WaveletFilters,
     cascade_analysis,
     cascade_synthesis,
@@ -16,6 +17,7 @@ from upsample_audit.upsamplers import (
     lifting_analysis,
     lifting_param_grads,
     lifting_synthesis,
+    wavelet_roundtrip,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -233,3 +235,9 @@ class TestCascade:
     def test_lifting_base_requires_params(self):
         with pytest.raises(ValueError, match="lifting"):
             cascade_analysis(white_noise(64, 8000, 0), "lifting", 1)
+
+    def test_odd_rates_are_refused(self):
+        with pytest.raises(ValueError, match="even sample rate, got 11025 Hz"):
+            wavelet_roundtrip(UpsamplerSpec(kind="wavelet-haar", factor=2), white_noise(64, 11025, 0))
+        with pytest.raises(ValueError, match="even sample rate, got 4001 Hz"):
+            cascade_analysis(white_noise(64, 8002, 0), "lazy", 2)
