@@ -1,6 +1,8 @@
 """Spectral analysis and artifact forensics.
 
-Two estimator families on purpose:
+One STFT front end (_stft: windowed frames of a mono mixdown, |rFFT| per
+frame) feeds spectrogram and two estimator families, which average its
+frames differently on purpose:
 
 * avg_spectrum averages per-frame STFT magnitudes (Hann, 50% overlap).
   It feeds the artifact metrics (tonal prominence, band attenuation),
@@ -26,27 +28,36 @@ import numpy as np
 
 from .signals import Signal, white_noise
 from .upsamplers.config import WAVELET_KINDS, UpsamplerSpec, apply
-from .upsamplers.wavelets import LiftingParams, cascade_analysis, cascade_synthesis
+from .upsamplers.wavelets import LiftingParams, cascade_analysis, cascade_synthesis, detail_shapes
 
 DB_FLOOR = -120.0
 _MAG_FLOOR = 10.0 ** (DB_FLOOR / 20.0)
 
-_WINDOWS = ("hann", "rect")
+_WINDOWS = {"hann": np.hanning, "rect": np.ones}
 
 
-def _window(kind: str, size: int) -> np.ndarray:
-    if kind == "hann":
-        return np.hanning(size)
-    if kind == "rect":
-        return np.ones(size)
-    raise ValueError(f"unknown window {kind!r}, expected one of {_WINDOWS}")
-
-
-def _frames(samples: np.ndarray, window_size: int, hop: int) -> np.ndarray:
+def _stft(samples: np.ndarray, window_size: int, hop: int, window: str = "hann") -> tuple:
+    """Per-frame |rFFT| of the windowed frames (frames x bins), and the window."""
+    if window_size < 2 or window_size & (window_size - 1):
+        raise ValueError(f"window size must be a power of two, got {window_size}")
+    if not 1 <= hop <= window_size:
+        raise ValueError(f"hop must be in [1, window_size], got {hop}")
+    if window not in _WINDOWS:
+        raise ValueError(f"unknown window {window!r}, expected one of {tuple(_WINDOWS)}")
+    w = _WINDOWS[window](window_size)
     if len(samples) < window_size:
         raise ValueError(f"window of {window_size} samples exceeds signal length {len(samples)}")
-    view = np.lib.stride_tricks.sliding_window_view(samples, window_size)
-    return view[::hop]
+    frames = np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop]
+    return np.abs(np.fft.rfft(frames * w, axis=1)), w
+
+
+def _rfft_freqs(sample_rate_hz: int, window_size: int) -> np.ndarray:
+    """Bin centers of a window_size-point rFFT: 0 to Nyquist inclusive."""
+    return np.linspace(0.0, sample_rate_hz / 2.0, window_size // 2 + 1)
+
+
+def _to_db(magnitudes: np.ndarray) -> np.ndarray:
+    return 20.0 * np.log10(np.maximum(magnitudes, _MAG_FLOOR))
 
 
 def _mixdown(x: Signal) -> np.ndarray:
@@ -92,22 +103,29 @@ class Spectrogram:
 
     @property
     def freqs_hz(self) -> np.ndarray:
-        return np.linspace(0.0, self.sample_rate_hz / 2.0, self.num_bins)
+        return _rfft_freqs(self.sample_rate_hz, self.window_size)
 
 
 def spectrogram(x: Signal, window_size: int = 512, hop: int = 128, window: str = "hann") -> Spectrogram:
     """Magnitude STFT in dB. window_size must be a power of two, hop <= window_size."""
     window_size = int(window_size)
     hop = int(hop)
-    if window_size < 2 or window_size & (window_size - 1):
-        raise ValueError(f"window size must be a power of two, got {window_size}")
-    if not 1 <= hop <= window_size:
-        raise ValueError(f"hop must be in [1, window_size], got {hop}")
-    w = _window(window, window_size)
-    frames = _frames(_mixdown(x), window_size, hop)
-    mags = np.abs(np.fft.rfft(frames * w, axis=1)) / w.sum()
-    db = 20.0 * np.log10(np.maximum(mags, _MAG_FLOOR))
-    return Spectrogram(db, x.sample_rate_hz, window_size, hop, window)
+    mags, w = _stft(_mixdown(x), window_size, hop, window)
+    return Spectrogram(_to_db(mags / w.sum()), x.sample_rate_hz, window_size, hop, window)
+
+
+def _freeze_grid(spectrum) -> None:
+    """Check a (freqs_hz, magnitude_db) pair and store read-only float64 copies."""
+    freqs = np.asarray(spectrum.freqs_hz, dtype=np.float64)
+    db = np.asarray(spectrum.magnitude_db, dtype=np.float64)
+    if freqs.ndim != 1 or db.shape != freqs.shape:
+        raise ValueError("frequency grid and magnitudes must be matching 1D arrays")
+    if np.any(np.diff(freqs) <= 0):
+        raise ValueError("frequency grid must be strictly ascending")
+    for name, arr in (("freqs_hz", freqs), ("magnitude_db", db)):
+        arr = arr.copy()
+        arr.flags.writeable = False
+        object.__setattr__(spectrum, name, arr)
 
 
 @dataclass(frozen=True)
@@ -120,39 +138,28 @@ class AveragedSpectrum:
     num_frames: int
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs_hz, dtype=np.float64)
-        db = np.asarray(self.magnitude_db, dtype=np.float64)
-        if freqs.ndim != 1 or db.shape != freqs.shape:
-            raise ValueError("frequency grid and magnitudes must be matching 1D arrays")
-        if np.any(np.diff(freqs) <= 0):
-            raise ValueError("frequency grid must be strictly ascending")
-        for name, arr in (("freqs_hz", freqs), ("magnitude_db", db)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze_grid(self)
 
     @property
     def num_bins(self) -> int:
         return self.freqs_hz.size
 
+    def bin_of(self, freq_hz: float) -> int:
+        """Index of the bin nearest freq_hz on the uniform 0..Nyquist grid."""
+        nyquist = self.sample_rate_hz / 2.0
+        if not 0.0 <= freq_hz <= nyquist:
+            raise ValueError(f"candidate {freq_hz} Hz outside [0, {nyquist}] Hz")
+        return int(round(freq_hz / nyquist * (self.num_bins - 1)))
+
 
 def avg_spectrum(x: Signal, window_size: int = 512) -> AveragedSpectrum:
     """Mean per-frame STFT magnitude: Hann window, 50% overlap, at least 16 frames."""
     window_size = int(window_size)
-    if window_size < 2 or window_size & (window_size - 1):
-        raise ValueError(f"window size must be a power of two, got {window_size}")
-    hop = window_size // 2
-    samples = _mixdown(x)
-    if len(samples) < window_size:
-        raise ValueError(f"window of {window_size} samples exceeds signal length {len(samples)}")
-    frames = _frames(samples, window_size, hop)
-    if frames.shape[0] < 16:
-        raise ValueError(f"need at least 16 frames for a stable average, got {frames.shape[0]}")
-    w = np.hanning(window_size)
-    mean_mag = np.abs(np.fft.rfft(frames * w, axis=1)).mean(axis=0) / w.sum()
-    db = 20.0 * np.log10(np.maximum(mean_mag, _MAG_FLOOR))
-    freqs = np.linspace(0.0, x.sample_rate_hz / 2.0, window_size // 2 + 1)
-    return AveragedSpectrum(freqs, db, x.sample_rate_hz, frames.shape[0])
+    mags, w = _stft(_mixdown(x), window_size, window_size // 2)
+    if mags.shape[0] < 16:
+        raise ValueError(f"need at least 16 frames for a stable average, got {mags.shape[0]}")
+    db = _to_db(mags.mean(axis=0) / w.sum())
+    return AveragedSpectrum(_rfft_freqs(x.sample_rate_hz, window_size), db, x.sample_rate_hz, mags.shape[0])
 
 
 def average_spectra(spectra) -> AveragedSpectrum:
@@ -165,7 +172,7 @@ def average_spectra(spectra) -> AveragedSpectrum:
         if sp.num_bins != first.num_bins or sp.sample_rate_hz != first.sample_rate_hz:
             raise ValueError("spectra must share the frequency grid")
     linear = np.stack([10.0 ** (sp.magnitude_db / 20.0) for sp in spectra]).mean(axis=0)
-    db = 20.0 * np.log10(np.maximum(linear, _MAG_FLOOR))
+    db = _to_db(linear)
     return AveragedSpectrum(first.freqs_hz, db, first.sample_rate_hz, sum(sp.num_frames for sp in spectra))
 
 
@@ -196,13 +203,9 @@ def tonal_prominence(
     excluding +/- exclude_bins so the peak's own skirt does not inflate
     the background.
     """
-    nyquist = spectrum.sample_rate_hz / 2.0
-    if not 0.0 <= freq_hz <= nyquist:
-        raise ValueError(f"candidate {freq_hz} Hz outside [0, {nyquist}] Hz")
-    n = spectrum.num_bins
-    center = int(round(freq_hz / nyquist * (n - 1)))
+    center = spectrum.bin_of(freq_hz)
     lo = max(0, center - neighborhood_bins)
-    hi = min(n - 1, center + neighborhood_bins)
+    hi = min(spectrum.num_bins - 1, center + neighborhood_bins)
     idx = np.arange(lo, hi + 1)
     idx = idx[np.abs(idx - center) > exclude_bins]
     if idx.size == 0:
@@ -295,42 +298,13 @@ class FrequencyResponse:
     sample_rate_hz: int
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs_hz, dtype=np.float64)
-        db = np.asarray(self.magnitude_db, dtype=np.float64)
-        if freqs.ndim != 1 or db.shape != freqs.shape:
-            raise ValueError("frequency grid and magnitudes must be matching 1D arrays")
-        if np.any(np.diff(freqs) <= 0):
-            raise ValueError("frequency grid must be strictly ascending")
-        if abs(db[0]) > 1e-9:
+        _freeze_grid(self)
+        if abs(self.magnitude_db[0]) > 1e-9:
             raise ValueError("response must be normalized to 0 dB at DC")
-        for name, arr in (("freqs_hz", freqs), ("magnitude_db", db)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 _EDGE_TRIM = 2048
 _POWER_FLOOR = 1e-30
-
-
-def _welch_power(samples: np.ndarray, window_size: int) -> tuple:
-    w = np.hanning(window_size)
-    frames = _frames(samples, window_size, window_size // 2)
-    power = np.abs(np.fft.rfft(frames * w, axis=1)) ** 2
-    return power.sum(axis=0), frames.shape[0]
-
-
-def _wavelet_noise_output(spec: UpsamplerSpec, fs_in: int, n: int, seed: int) -> Signal:
-    """Synthesis path driven by independent noise in every band."""
-    coarse = white_noise(n, fs_in, seed)
-    if spec.wavelet_levels == 1:
-        details = [white_noise(n, fs_in, seed + 100_000)]
-    else:
-        details = [
-            white_noise(n, fs_in, seed + 100_000),
-            white_noise(2 * n, 2 * fs_in, seed + 200_000),
-        ]
-    return cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting)
 
 
 def measure_response(
@@ -351,12 +325,17 @@ def measure_response(
     from spec.seed.
     """
     fs_out = spec.factor * fs_in
-    acc = None
+    acc = 0.0
     total_frames = 0
     for r in range(realizations):
         seed = spec.seed + 1_000_000 + r
         if spec.kind in WAVELET_KINDS:
-            out = _wavelet_noise_output(spec, fs_in, n, seed)
+            coarse = white_noise(n, fs_in, seed)
+            details = [
+                white_noise(shape[1], rate, seed + 100_000 * (level + 1))
+                for level, (shape, rate) in enumerate(detail_shapes(coarse, spec.wavelet_levels))
+            ]
+            out = cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting)
         else:
             out = apply(spec, white_noise(n, fs_in, seed))
         samples = _mixdown(out)
@@ -364,21 +343,18 @@ def measure_response(
             raise ValueError(
                 f"output too short for edge trimming: {len(samples)} samples; increase n"
             )
-        power, frames = _welch_power(samples[_EDGE_TRIM:-_EDGE_TRIM], window_size)
-        acc = power if acc is None else acc + power
-        total_frames += frames
+        power = _stft(samples[_EDGE_TRIM:-_EDGE_TRIM], window_size, window_size // 2)[0] ** 2
+        acc = acc + power.sum(axis=0)
+        total_frames += power.shape[0]
     db = 10.0 * np.log10(np.maximum(acc / total_frames, _POWER_FLOOR))
-    db = db - db[0]
-    freqs = np.linspace(0.0, fs_out / 2.0, window_size // 2 + 1)
-    return FrequencyResponse(freqs, db, fs_out)
+    return FrequencyResponse(_rfft_freqs(fs_out, window_size), db - db[0], fs_out)
 
 
 def analytic_response(taps: np.ndarray, window_size: int, fs_out: int) -> FrequencyResponse:
     """DFT magnitude of an FIR filter on the measurement grid, 0 dB at DC."""
     mags = np.abs(np.fft.rfft(np.asarray(taps, dtype=np.float64), int(window_size)))
     db = 20.0 * np.log10(np.maximum(mags, 1e-15))
-    freqs = np.linspace(0.0, fs_out / 2.0, window_size // 2 + 1)
-    return FrequencyResponse(freqs, db - db[0], fs_out)
+    return FrequencyResponse(_rfft_freqs(fs_out, window_size), db - db[0], fs_out)
 
 
 def null_exclusion_mask(

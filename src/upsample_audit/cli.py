@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -41,11 +42,20 @@ def _round6(value):
     return round(float(value), 6)
 
 
+def _require_finite(args, *flags) -> None:
+    """Refuse a nan or inf float flag before it reaches a file or a report."""
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # generate
 
 
 def cmd_generate(args) -> int:
+    _require_finite(args, "--f0", "--amplitude")
     if args.kind == "noise":
         signal = sig.white_noise(args.n, args.fs, args.seed)
     elif args.kind == "ones":
@@ -74,6 +84,7 @@ def cmd_generate(args) -> int:
 
 
 def _spec_from_args(args) -> UpsamplerSpec:
+    _require_finite(args, "--P", "--U", "--A")
     lifting = None
     if args.layer == "wavelet-lifting":
         if args.P is None or args.U is None or args.A is None:
@@ -145,6 +156,7 @@ def _write_pgm(path, spectrogram: ana.Spectrogram) -> None:
 def cmd_analyze(args) -> int:
     if (args.fs_in is None) != (args.factor is None):
         raise ValueError("replica prediction requires both --fs-in and --factor")
+    _require_finite(args, "--threshold-db")
     signal = sig.read_wav(getattr(args, "in"))
     artifacts = None
     if args.fs_in is not None:
@@ -331,6 +343,15 @@ def _response_suite(suite: _Suite) -> None:
     )
 
 
+def _tonal_hits(base: sig.Signal, first_seed: int, **layer) -> int:
+    """How many of 10 seeded x4 layers put the 8 kHz line over 6 dB above its background."""
+    hits = 0
+    for seed in range(first_seed, first_seed + 10):
+        spectrum = ana.avg_spectrum(apply(UpsamplerSpec(factor=4, seed=seed, **layer), base))
+        hits += ana.tonal_prominence(spectrum, 8000.0) > 6.0
+    return hits
+
+
 def _tonal_suite(suite: _Suite) -> None:
     base = sig.ones(1 << 15, _FS_IN)
     replicas = ana.replica_frequencies(_FS_IN, _FACTOR)
@@ -351,22 +372,9 @@ def _tonal_suite(suite: _Suite) -> None:
         suite.at_most(f"{kind} on ones max prominence", worst, 6.0)
 
     for length in (4, 8, 9):
-        hits = 0
-        for seed in range(10):
-            layer = UpsamplerSpec(
-                kind="transposed", factor=4, filter_length=length, stride=4, seed=100 + seed
-            )
-            spectrum = ana.avg_spectrum(apply(layer, base))
-            if ana.tonal_prominence(spectrum, 8000.0) > 6.0:
-                hits += 1
+        hits = _tonal_hits(base, 100, kind="transposed", filter_length=length, stride=4)
         suite.at_least(f"transposed L={length} S=4 tonal hits over 10 seeds", hits, 9)
-
-    hits = 0
-    for seed in range(10):
-        layer = UpsamplerSpec(kind="subpixel", factor=4, filter_length=9, seed=200 + seed)
-        spectrum = ana.avg_spectrum(apply(layer, base))
-        if ana.tonal_prominence(spectrum, 8000.0) > 6.0:
-            hits += 1
+    hits = _tonal_hits(base, 200, kind="subpixel", filter_length=9)
     suite.at_least("subpixel L=9 tonal hits over 10 seeds", hits, 9)
 
     tone_in = sig.tone(8192, _FS_IN, 1000.0)
@@ -374,18 +382,17 @@ def _tonal_suite(suite: _Suite) -> None:
     spectrum = ana.avg_spectrum(apply(UpsamplerSpec(kind="stretch", factor=_FACTOR), tone_in))
     worst_offset = 0
     for freq in expected_hz:
-        center = int(round(freq / (spectrum.sample_rate_hz / 2.0) * (spectrum.num_bins - 1)))
+        center = spectrum.bin_of(freq)
         lo = max(0, center - 5)
         local = int(np.argmax(spectrum.magnitude_db[lo : center + 6])) + lo
         worst_offset = max(worst_offset, abs(local - center))
     suite.at_most("stretch imaging line placement (bins off prediction)", worst_offset, 1)
 
     spectrum = ana.avg_spectrum(apply(UpsamplerSpec(kind="sinc", factor=_FACTOR), tone_in))
-    center = int(round(1000.0 / (spectrum.sample_rate_hz / 2.0) * (spectrum.num_bins - 1)))
-    carrier = spectrum.magnitude_db[center]
+    carrier = spectrum.magnitude_db[spectrum.bin_of(1000.0)]
     worst_image = -np.inf
     for freq in expected_hz[1:]:
-        center = int(round(freq / (spectrum.sample_rate_hz / 2.0) * (spectrum.num_bins - 1)))
+        center = spectrum.bin_of(freq)
         level = float(np.max(spectrum.magnitude_db[center - 2 : center + 3]))
         worst_image = max(worst_image, level - carrier)
     suite.at_most("sinc image suppression relative to carrier", worst_image, -30.0)

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..signals import Signal
 from . import convolution, interpolation
-from .wavelets import LiftingParams, cascade_analysis, cascade_synthesis, _resolve_base
+from .wavelets import LiftingParams, cascade_analysis, cascade_synthesis, detail_shapes
 
 KINDS = (
     "stretch",
@@ -117,15 +117,6 @@ def _apply_conv(spec: UpsamplerSpec, x: Signal) -> Signal:
     return Signal(y, spec.factor * x.sample_rate_hz)
 
 
-def _apply_wavelet_synthesis(spec: UpsamplerSpec, x: Signal) -> Signal:
-    _, synthesize = _resolve_base(spec.wavelet_base, spec.lifting)
-    out = x
-    for _level in range(spec.wavelet_levels):
-        zeros = Signal(np.zeros_like(out.data), out.sample_rate_hz)
-        out = synthesize(out, zeros)
-    return out
-
-
 def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
     """Run the configured layer on a signal.
 
@@ -143,7 +134,8 @@ def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
         return interpolation.sinc_interpolate(x, spec.factor, spec.sinc_taps)
     if spec.kind in ("transposed", "subpixel"):
         return _apply_conv(spec, x)
-    return _apply_wavelet_synthesis(spec, x)
+    zeros = [Signal(np.zeros(shape), rate) for shape, rate in detail_shapes(x, spec.wavelet_levels)]
+    return cascade_synthesis(x, zeros, spec.wavelet_base, spec.lifting)
 
 
 def wavelet_roundtrip(spec: UpsamplerSpec, x: Signal) -> Signal:

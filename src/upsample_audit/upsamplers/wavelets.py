@@ -23,7 +23,7 @@ rates instead of rounding them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,12 +34,12 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class WaveletFilters:
-    """Analysis pair (la, ha) and the time-reversed synthesis pair (ls, hs)."""
+    """Analysis pair (la, ha) and the synthesis pair (ls, hs) derived by time reversal."""
 
     la: np.ndarray
     ha: np.ndarray
-    ls: np.ndarray = None
-    hs: np.ndarray = None
+    ls: np.ndarray = field(init=False)
+    hs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         la = np.asarray(self.la, dtype=np.float64)
@@ -68,6 +68,8 @@ class LiftingParams:
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "u", float(self.u))
         object.__setattr__(self, "a", float(self.a))
+        if not all(math.isfinite(v) for v in (self.p, self.u, self.a)):
+            raise ValueError(f"lifting parameters must be finite, got ({self.p}, {self.u}, {self.a})")
         if self.a == 0.0:
             raise ValueError("normalization A must be nonzero")
 
@@ -204,6 +206,21 @@ def cascade_analysis(x: Signal, base: str, levels: int, lifting: LiftingParams |
         details.append(detail)
     details.reverse()
     return coarse, details
+
+
+def detail_shapes(coarse: Signal, levels: int) -> list:
+    """(shape, rate) of each detail band cascade_synthesis folds into coarse, coarsest first.
+
+    Band l has K * 2**l samples per channel at fs * 2**l, K and fs being the
+    coarse band's length and rate, less 2**l // 2 if the coarse band is
+    padded (synthesis drops that pad at the first level).
+    """
+    channels, k = coarse.data.shape
+    pad = int(coarse.padded)
+    return [
+        ((channels, k * 2**level - pad * 2**level // 2), coarse.sample_rate_hz * 2**level)
+        for level in range(levels)
+    ]
 
 
 def cascade_synthesis(coarse: Signal, details, base: str, lifting: LiftingParams | None = None) -> Signal:

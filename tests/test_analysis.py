@@ -5,7 +5,13 @@ import pytest
 
 from upsample_audit import analysis as ana
 from upsample_audit.signals import Signal, ones, tone, white_noise
-from upsample_audit.upsamplers import LiftingParams, UpsamplerSpec, apply, random_filters
+from upsample_audit.upsamplers import (
+    LiftingParams,
+    UpsamplerSpec,
+    apply,
+    cascade_synthesis,
+    random_filters,
+)
 
 
 def _flat_spectrum(db_value, bins=257, fs=8000, frames=16):
@@ -45,6 +51,19 @@ class TestSpectrogram:
         stereo = Signal(np.vstack([left.data, -left.data]), 8000)
         view = ana.spectrogram(stereo)
         assert np.all(view.magnitudes_db == ana.DB_FLOOR)
+
+    @pytest.mark.parametrize("window,hop", [("hann", 128), ("hann", 200), ("rect", 512)])
+    def test_stereo_matches_numpy_exactly(self, window, hop):
+        stereo = Signal(
+            np.vstack([white_noise(3001, 8000, 5).data, tone(3001, 8000, 700.0).data]), 8000
+        )
+        view = ana.spectrogram(stereo, window_size=512, hop=hop, window=window)
+        mono = (stereo.data[0] + stereo.data[1]) / 2.0
+        w = np.hanning(512) if window == "hann" else np.ones(512)
+        frames = np.stack([mono[i : i + 512] for i in range(0, 3001 - 512 + 1, hop)])
+        mags = np.abs(np.fft.rfft(frames * w, axis=1)) / w.sum()
+        expected = 20.0 * np.log10(np.maximum(mags, 10.0 ** (ana.DB_FLOOR / 20.0)))
+        assert np.array_equal(view.magnitudes_db, expected)
 
     def test_window_longer_than_signal_rejected(self):
         with pytest.raises(ValueError, match="exceeds signal length"):
@@ -279,6 +298,32 @@ class TestMeasureResponse:
     def test_dc_is_the_reference(self):
         resp = ana.measure_response(UpsamplerSpec(kind="stretch", factor=4), 8000, realizations=2)
         assert resp.magnitude_db[0] == 0.0
+
+    def test_two_level_wavelet_drive_matches_numpy(self):
+        # Factor 4 drives two cascade levels: the coarse band and the first
+        # detail band at fs_in, the second detail band at 2 * fs_in.
+        spec = UpsamplerSpec(kind="wavelet-lifting", factor=4, seed=9, lifting=LiftingParams(0.4, 0.3, 1.2))
+        n, fs, realizations = 1 << 13, 8000, 3
+        resp = ana.measure_response(spec, fs, realizations=realizations, n=n)
+        w = np.hanning(512)
+        acc, total = None, 0
+        for r in range(realizations):
+            s = spec.seed + 1_000_000 + r
+            bands = [white_noise(n, fs, s + 100_000), white_noise(2 * n, 2 * fs, s + 200_000)]
+            out = cascade_synthesis(white_noise(n, fs, s), bands, "lifting", spec.lifting)
+            trimmed = out.data.mean(axis=0)[2048:-2048]
+            frames = np.stack([trimmed[i : i + 512] for i in range(0, trimmed.size - 512 + 1, 256)])
+            power = (np.abs(np.fft.rfft(frames * w, axis=1)) ** 2).sum(axis=0)
+            acc = power if acc is None else acc + power
+            total += frames.shape[0]
+        db = 10.0 * np.log10(np.maximum(acc / total, 1e-30))
+        assert resp.sample_rate_hz == 4 * fs
+        assert np.array_equal(resp.freqs_hz, np.linspace(0.0, 2.0 * fs, 257))
+        assert np.array_equal(resp.magnitude_db, db - db[0])
+
+    def test_window_size_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two, got 500"):
+            ana.measure_response(UpsamplerSpec(kind="stretch", factor=2), 8000, realizations=1, window_size=500)
 
     def test_short_signals_rejected(self):
         with pytest.raises(ValueError, match="too short"):

@@ -55,6 +55,25 @@ class TestGenerate:
         )
         assert "error:" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flag,value,kind",
+        [
+            ("--f0", "nan", "noise"),
+            ("--f0", "inf", "tone"),
+            ("--amplitude", "nan", "ones"),
+            ("--amplitude", "-inf", "tone"),
+        ],
+    )
+    def test_non_finite_flags_are_refused(self, tmp_path, flag, value, kind):
+        out = tmp_path / "t.wav"
+        args = ["generate", "--kind", kind, "--n", 64, "--fs", 8000, "--out", out, f"{flag}={value}"]
+        if kind == "tone" and flag != "--f0":
+            args += ["--f0", 1000]
+        proc = run_cli(*args, expect=2)
+        assert proc.stderr.splitlines() == [f"error: {flag} must be finite, got {float(value)}"]
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_tone_requires_f0(self, tmp_path):
         run_cli(
             "generate", "--kind", "tone", "--n", 64, "--fs", 8000,
@@ -124,6 +143,19 @@ class TestUpsample:
             expect=2,
         )
         assert "error:" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--P", "--U", "--A"])
+    def test_non_finite_lifting_params_are_refused(self, tmp_path, flag):
+        src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 8000)
+        out = tmp_path / "x.wav"
+        triple = {"--P": "1", "--U": "0.5", "--A": "1.4", flag: "nan"}
+        proc = run_cli(
+            "upsample", "--in", src, "--out", out, "--layer", "wavelet-lifting", "--factor", 2,
+            *(f"{name}={value}" for name, value in triple.items()),
+            expect=2,
+        )
+        assert proc.stderr.splitlines() == [f"error: {flag} must be finite, got nan"]
+        assert not out.exists()
 
     def test_subpixel_requires_length(self, tmp_path):
         src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 8000)
@@ -238,6 +270,17 @@ class TestAnalyze:
             expect=2,
         )
         assert "error:" in proc.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_is_refused(self, stretched_ones, tmp_path, value):
+        report, pgm = tmp_path / "r.json", tmp_path / "s.pgm"
+        proc = run_cli(
+            "analyze", "--in", stretched_ones, "--report", report, "--pgm", pgm,
+            "--fs-in", 8000, "--factor", 4, "--threshold-db", value,
+            expect=2,
+        )
+        assert proc.stderr.splitlines() == [f"error: --threshold-db must be finite, got {value}"]
+        assert not report.exists() and not pgm.exists()
 
     def test_rate_inconsistent_with_fs_in_and_factor_is_refused(self, stretched_ones, tmp_path):
         report, csv = tmp_path / "r.json", tmp_path / "s.csv"

@@ -10,6 +10,7 @@ from upsample_audit.upsamplers import (
     LiftingParams,
     UpsamplerSpec,
     WaveletFilters,
+    apply,
     cascade_analysis,
     cascade_synthesis,
     haar_analysis,
@@ -19,6 +20,7 @@ from upsample_audit.upsamplers import (
     lifting_synthesis,
     wavelet_roundtrip,
 )
+from upsample_audit.upsamplers.wavelets import detail_shapes
 
 SQRT2 = np.sqrt(2.0)
 
@@ -38,11 +40,23 @@ class TestWaveletFilters:
         np.testing.assert_array_equal(f.ls, [0.3, 0.2, 0.1])
         np.testing.assert_array_equal(f.hs, [3.0, -2.0, 1.0])
 
+    def test_synthesis_pair_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            WaveletFilters(la=(0.5, 0.5), ha=(0.5, -0.5), ls=(1.0, 1.0))
+
 
 class TestLiftingParams:
     def test_zero_normalization_rejected(self):
         with pytest.raises(ValueError, match="normalization"):
             LiftingParams(p=1.0, u=0.5, a=0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["p", "u", "a"])
+    def test_non_finite_params_rejected(self, name, bad):
+        values = dict(p=1.0, u=0.5, a=1.0)
+        values[name] = bad
+        with pytest.raises(ValueError, match="lifting parameters must be finite"):
+            LiftingParams(**values)
 
     def test_named_triples(self):
         assert LAZY_PARAMS == LiftingParams(0.0, 0.0, 1.0)
@@ -220,6 +234,24 @@ class TestCascade:
         y = cascade_synthesis(coarse, details, "haar")
         assert y.channels == 2
         assert _max_err(y.data, x.data) < 1e-9
+
+    def test_detail_shapes_double_per_level(self):
+        coarse = Signal(np.zeros((2, 5)), 4000)
+        assert detail_shapes(coarse, 1) == [((2, 5), 4000)]
+        assert detail_shapes(coarse, 2) == [((2, 5), 4000), ((2, 10), 8000)]
+        padded = Signal(np.zeros((2, 5)), 4000, padded=True)
+        assert detail_shapes(padded, 2) == [((2, 5), 4000), ((2, 9), 8000)]
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_apply_synthesizes_with_zero_details(self, padded):
+        x = Signal(np.vstack([white_noise(101, 4000, 71).data, white_noise(101, 4000, 72).data]), 4000, padded)
+        y = apply(UpsamplerSpec(kind="wavelet-haar", factor=4), x)
+        expected = x
+        for _level in range(2):
+            expected = haar_synthesis(expected, Signal(np.zeros_like(expected.data), expected.sample_rate_hz))
+        assert y.sample_rate_hz == 16000
+        assert y.num_samples == (402 if padded else 404)
+        np.testing.assert_array_equal(y.data, expected.data)
 
     def test_level_validation(self):
         x = white_noise(64, 8000, 0)
