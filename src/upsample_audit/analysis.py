@@ -45,6 +45,8 @@ def _stft(samples: np.ndarray, window_size: int, hop: int, window: str = "hann")
     if window not in _WINDOWS:
         raise ValueError(f"unknown window {window!r}, expected one of {tuple(_WINDOWS)}")
     w = _WINDOWS[window](window_size)
+    if not w.sum() > 0:
+        raise ValueError(f"{window} window of {window_size} samples has no positive sum")
     if len(samples) < window_size:
         raise ValueError(f"window of {window_size} samples exceeds signal length {len(samples)}")
     frames = np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop]
@@ -191,39 +193,31 @@ class TonalPeak:
     prominence_db: float
 
 
-def tonal_prominence(
-    spectrum: AveragedSpectrum,
-    freq_hz: float,
-    neighborhood_bins: int = 50,
-    exclude_bins: int = 3,
-) -> float:
+_NEIGHBORHOOD_BINS = 50
+_EXCLUDE_BINS = 3
+
+
+def tonal_prominence(spectrum: AveragedSpectrum, freq_hz: float) -> float:
     """dB excess of the bin nearest freq_hz over the local median background.
 
-    The median runs over +/- neighborhood_bins around the candidate,
-    excluding +/- exclude_bins so the peak's own skirt does not inflate
-    the background.
+    The median runs over +/- 50 bins around the candidate, excluding
+    +/- 3 bins so the peak's own skirt does not inflate the background.
     """
     center = spectrum.bin_of(freq_hz)
-    lo = max(0, center - neighborhood_bins)
-    hi = min(spectrum.num_bins - 1, center + neighborhood_bins)
+    lo = max(0, center - _NEIGHBORHOOD_BINS)
+    hi = min(spectrum.num_bins - 1, center + _NEIGHBORHOOD_BINS)
     idx = np.arange(lo, hi + 1)
-    idx = idx[np.abs(idx - center) > exclude_bins]
+    idx = idx[np.abs(idx - center) > _EXCLUDE_BINS]
     if idx.size == 0:
-        raise ValueError("neighborhood is empty; widen neighborhood_bins or shrink exclude_bins")
+        raise ValueError(f"no background bins around {freq_hz} Hz in a {spectrum.num_bins}-bin spectrum")
     return float(spectrum.magnitude_db[center] - np.median(spectrum.magnitude_db[idx]))
 
 
-def detect_tonal_peaks(
-    spectrum: AveragedSpectrum,
-    candidate_freqs,
-    neighborhood_bins: int = 50,
-    exclude_bins: int = 3,
-    threshold_db: float = 6.0,
-):
+def detect_tonal_peaks(spectrum: AveragedSpectrum, candidate_freqs, threshold_db: float = 6.0):
     """Tonal peaks among the candidates whose prominence exceeds threshold_db."""
     peaks = []
     for freq in candidate_freqs:
-        prom = tonal_prominence(spectrum, freq, neighborhood_bins, exclude_bins)
+        prom = tonal_prominence(spectrum, freq)
         if prom > threshold_db:
             peaks.append(TonalPeak(float(freq), prom))
     return peaks
@@ -259,18 +253,17 @@ class ArtifactReport:
     filtering_detected: bool
 
 
+_ATTENUATION_THRESHOLD_DB = 6.0
+
+
 def artifact_report(
-    spectrum: AveragedSpectrum,
-    fs_in: int,
-    factor: int,
-    threshold_db: float = 6.0,
-    attenuation_threshold_db: float = 6.0,
+    spectrum: AveragedSpectrum, fs_in: int, factor: int, threshold_db: float = 6.0
 ) -> ArtifactReport:
     """Full artifact readout of an upsampled signal's averaged spectrum.
 
     Tonal candidates are the predicted replica frequencies. The filtering
     verdict trips when any band beyond band 0 is attenuated by more than
-    attenuation_threshold_db. The spectrum's rate must be fs_in * factor;
+    6 dB. The spectrum's rate must be fs_in * factor;
     any other pairing would place the replicas wrongly.
     """
     replicas = replica_frequencies(fs_in, factor)
@@ -285,7 +278,7 @@ def artifact_report(
         band_attenuation_db=bands,
         predicted_replicas_hz=tuple(replicas),
         tonal_detected=bool(peaks),
-        filtering_detected=bool(np.any(bands[1:] < -attenuation_threshold_db)),
+        filtering_detected=bool(np.any(bands[1:] < -_ATTENUATION_THRESHOLD_DB)),
     )
 
 
@@ -324,6 +317,8 @@ def measure_response(
     normalized to 0 dB at DC. Deterministic: realization seeds derive
     from spec.seed.
     """
+    if realizations < 1:
+        raise ValueError(f"need at least one realization, got {realizations}")
     fs_out = spec.factor * fs_in
     acc = 0.0
     total_frames = 0
@@ -357,29 +352,29 @@ def analytic_response(taps: np.ndarray, window_size: int, fs_out: int) -> Freque
     return FrequencyResponse(_rfft_freqs(fs_out, window_size), db - db[0], fs_out)
 
 
-def null_exclusion_mask(
-    magnitude_db: np.ndarray,
-    width: int = 2,
-    min_guard_db: float = 20.0,
-    deep_db: float = 70.0,
-) -> np.ndarray:
+_NULL_WIDTH = 2
+_NULL_GUARD_DB = 20.0
+_NULL_DEEP_DB = 70.0
+
+
+def null_exclusion_mask(magnitude_db: np.ndarray) -> np.ndarray:
     """Boolean mask of bins where a measured response is comparable.
 
-    Null bins are local minima more than min_guard_db below the peak,
-    plus every bin more than deep_db below the peak (inside such a notch
-    the Welch estimate is leakage-limited, not layer-limited). The mask
-    clears +/- width bins around each null bin; endpoints count as local
-    minima when they dip below their single neighbor.
+    Null bins are local minima more than 20 dB below the peak, plus every
+    bin more than 70 dB below the peak (inside such a notch the Welch
+    estimate is leakage-limited, not layer-limited). The mask clears +/- 2
+    bins around each null bin; endpoints count as local minima when they
+    dip below their single neighbor.
     """
     db = np.asarray(magnitude_db, dtype=np.float64)
     n = db.size
     top = db.max()
     padded = np.concatenate([[np.inf], db, [np.inf]])
-    is_min = (db <= padded[:-2]) & (db <= padded[2:]) & (db < top - min_guard_db)
-    nulls = is_min | (db < top - deep_db)
+    is_min = (db <= padded[:-2]) & (db <= padded[2:]) & (db < top - _NULL_GUARD_DB)
+    nulls = is_min | (db < top - _NULL_DEEP_DB)
     keep = np.ones(n, dtype=bool)
     for i in np.nonzero(nulls)[0]:
-        keep[max(0, i - width) : i + width + 1] = False
+        keep[max(0, i - _NULL_WIDTH) : i + _NULL_WIDTH + 1] = False
     return keep
 
 

@@ -3,7 +3,8 @@
 Every command is deterministic given its flags; reports carry a
 "schema": 1 marker, no timestamps, and stable key order, so repeated
 runs are byte-identical. Exit codes: 0 success, 1 failed verify checks,
-2 usage or validation errors.
+2 usage or validation errors, including outputs too large for a WAV file
+and failed allocations.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ def _require_finite(args, *flags) -> None:
 
 def cmd_generate(args) -> int:
     _require_finite(args, "--f0", "--amplitude")
+    sig.check_wav_size(args.n)
     if args.kind == "noise":
         signal = sig.white_noise(args.n, args.fs, args.seed)
     elif args.kind == "ones":
@@ -113,6 +115,7 @@ def cmd_upsample(args) -> int:
     if args.wavelet_mode == "roundtrip":
         out = wavelet_roundtrip(spec, signal)
     else:
+        sig.check_wav_size(spec.factor * signal.num_samples * signal.channels)
         out = apply(spec, signal)
     sig.write_wav(args.out, out, fmt="float32")
     print(_json_line({
@@ -521,8 +524,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

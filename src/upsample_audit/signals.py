@@ -107,6 +107,17 @@ def tone(n: int, fs: int, f0: float, amplitude: float = 1.0) -> Signal:
 # 32-bit (format 3), mono or stereo.
 
 _PCM16_SCALE = 32767.0
+# RIFF sizes are 32-bit; the RIFF size counts the data chunk plus up to 48
+# bytes of "WAVE" tag and fmt, fact and data chunk headers.
+MAX_WAV_DATA_BYTES = 0xFFFFFFFF - 48
+
+
+def check_wav_size(samples: int, bytes_per_sample: int = 4) -> None:
+    """Refuse a WAV data chunk of `samples` values that RIFF's size fields cannot hold."""
+    if samples * bytes_per_sample > MAX_WAV_DATA_BYTES:
+        raise ValueError(
+            f"{samples} samples of {bytes_per_sample} bytes exceed the WAV data limit of {MAX_WAV_DATA_BYTES} bytes"
+        )
 
 
 def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
@@ -114,12 +125,13 @@ def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
 
     float32 is lossless for float32-representable samples. pcm16 quantizes
     with symmetric scale 32767; samples outside [-1, 1] are saturated with
-    a warning.
+    a warning. A data chunk over MAX_WAV_DATA_BYTES raises ValueError.
     """
     if fmt not in ("pcm16", "float32"):
         raise ValueError(f"unsupported format {fmt!r}, expected 'pcm16' or 'float32'")
     if signal.channels > 2:
         raise ValueError(f"only mono and stereo are supported, got {signal.channels} channels")
+    check_wav_size(signal.data.size, 2 if fmt == "pcm16" else 4)
 
     interleaved = signal.data.T.reshape(-1)
     if fmt == "pcm16":

@@ -1,4 +1,7 @@
-"""Upsampling layers: interpolators, transposed/subpixel convolution, wavelets."""
+"""Upsampling layers: interpolators, transposed/subpixel convolution, wavelets.
+
+`apply(UpsamplerSpec(kind=...), x)` runs every kind in `KINDS`.
+"""
 
 from .config import (
     KINDS,
@@ -19,12 +22,8 @@ from .convolution import (
     transposed_conv,
 )
 from .interpolation import (
-    linear_interpolate,
-    nearest_neighbor,
     rectangular_filter,
     sinc_filter,
-    sinc_interpolate,
-    stretch,
     triangular_filter,
 )
 from .wavelets import (
@@ -57,12 +56,8 @@ __all__ = [
     "periodic_unshuffle",
     "subpixel_conv",
     "transposed_conv",
-    "linear_interpolate",
-    "nearest_neighbor",
     "rectangular_filter",
     "sinc_filter",
-    "sinc_interpolate",
-    "stretch",
     "triangular_filter",
     "HAAR_PARAMS",
     "LAZY_PARAMS",

@@ -1,4 +1,11 @@
-"""Tagged upsampler configuration and the dispatching apply() entry point."""
+"""Tagged upsampler configuration and apply(), the one entry point for every layer kind.
+
+The six polyphase kinds are one kernel call each: the interpolators run
+the M polyphase branches of their FIR prototype (interpolation.py) and keep
+M*K samples from its start sample; transposed and subpixel run their
+seeded filters through the window rules in convolution.py. Wavelet kinds
+drive the cascade synthesis path with zero detail bands.
+"""
 
 from __future__ import annotations
 
@@ -7,21 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..signals import Signal
-from . import convolution, interpolation
+from . import convolution
+from .interpolation import _sinc_taps, rectangular_filter, sinc_filter, triangular_filter
 from .wavelets import LiftingParams, cascade_analysis, cascade_synthesis, detail_shapes
 
-KINDS = (
-    "stretch",
-    "nearest",
-    "linear",
-    "sinc",
-    "transposed",
-    "subpixel",
-    "wavelet-lazy",
-    "wavelet-haar",
-    "wavelet-lifting",
-)
+# Interpolator kinds: the FIR prototype h of (M, sinc taps), and whether h is
+# centred (the M*K samples kept start at its middle tap) or causal (at 0).
+_INTERPOLATORS = {
+    "stretch": (lambda m, taps: np.ones(1), True),
+    "nearest": (lambda m, taps: rectangular_filter(m), False),
+    "linear": (lambda m, taps: triangular_filter(m), True),
+    "sinc": (sinc_filter, True),
+}
 WAVELET_KINDS = ("wavelet-lazy", "wavelet-haar", "wavelet-lifting")
+KINDS = (*_INTERPOLATORS, "transposed", "subpixel", *WAVELET_KINDS)
 
 
 @dataclass(frozen=True)
@@ -31,8 +37,8 @@ class UpsamplerSpec:
     factor is the upsampling ratio M. transposed layers require
     filter_length and stride with factor == stride (the stride is what
     raises the rate); subpixel layers require filter_length; sinc accepts
-    an odd tap count (default 8M+1); wavelet-lifting requires a
-    LiftingParams triple. seed feeds every random draw.
+    an odd tap count of at least 4M+1 (default 8M+1); wavelet-lifting
+    requires a LiftingParams triple. seed feeds every random draw.
     """
 
     kind: str
@@ -71,9 +77,7 @@ class UpsamplerSpec:
             if self.filter_length < 1:
                 raise ValueError(f"filter_length must be positive, got {self.filter_length}")
         if self.kind == "sinc" and self.sinc_taps is not None:
-            object.__setattr__(self, "sinc_taps", int(self.sinc_taps))
-            if self.sinc_taps % 2 == 0:
-                raise ValueError(f"sinc tap count must be odd, got {self.sinc_taps}")
+            object.__setattr__(self, "sinc_taps", _sinc_taps(self.factor, self.sinc_taps))
         if self.kind == "wavelet-lifting" and self.lifting is None:
             raise ValueError("wavelet-lifting layers require a LiftingParams triple")
         object.__setattr__(self, "seed", int(self.seed))
@@ -107,35 +111,28 @@ def random_filters(spec: UpsamplerSpec) -> np.ndarray:
     return (2.0 * rng.random(shape) - 1.0) * scale
 
 
-def _apply_conv(spec: UpsamplerSpec, x: Signal) -> Signal:
-    """The seeded single-channel layer, run on every channel of x independently."""
-    w = random_filters(spec)
-    if spec.kind == "transposed":
-        y = convolution._transposed(x.data, w[0, 0], spec.stride)
-    else:
-        y = convolution._subpixel(x.data, w[:, 0])
-    return Signal(y, spec.factor * x.sample_rate_hz)
-
-
 def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
     """Run the configured layer on a signal.
 
-    Interpolators and convolution layers upsample by spec.factor. Wavelet
-    kinds drive the synthesis path with the input as the coarsest band
-    and zero detail bands, doubling the rate per cascade level.
+    Interpolators and convolution layers upsample by spec.factor through
+    one polyphase kernel call. Wavelet kinds drive the synthesis path with
+    the input as the coarsest band and zero detail bands, doubling the
+    rate per cascade level.
     """
-    if spec.kind == "stretch":
-        return interpolation.stretch(x, spec.factor)
-    if spec.kind == "nearest":
-        return interpolation.nearest_neighbor(x, spec.factor)
-    if spec.kind == "linear":
-        return interpolation.linear_interpolate(x, spec.factor)
-    if spec.kind == "sinc":
-        return interpolation.sinc_interpolate(x, spec.factor, spec.sinc_taps)
-    if spec.kind in ("transposed", "subpixel"):
-        return _apply_conv(spec, x)
-    zeros = [Signal(np.zeros(shape), rate) for shape, rate in detail_shapes(x, spec.wavelet_levels)]
-    return cascade_synthesis(x, zeros, spec.wavelet_base, spec.lifting)
+    if spec.kind in WAVELET_KINDS:
+        zeros = [Signal(np.zeros(shape), rate) for shape, rate in detail_shapes(x, spec.wavelet_levels)]
+        return cascade_synthesis(x, zeros, spec.wavelet_base, spec.lifting)
+    m = spec.factor
+    if spec.kind == "transposed":
+        y = convolution._transposed(x.data, random_filters(spec)[0, 0], spec.stride)
+    elif spec.kind == "subpixel":
+        y = convolution._subpixel(x.data, random_filters(spec)[:, 0])
+    else:
+        prototype, centred = _INTERPOLATORS[spec.kind]
+        h = prototype(m, spec.sinc_taps)
+        start = (len(h) - 1) // 2 if centred else 0
+        y = convolution._polyphase(x.data, convolution._branches(h, m), start, m * x.num_samples)
+    return Signal(y, m * x.sample_rate_hz)
 
 
 def wavelet_roundtrip(spec: UpsamplerSpec, x: Signal) -> Signal:

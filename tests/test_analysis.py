@@ -109,6 +109,11 @@ class TestAveragedSpectrum:
         with pytest.raises(ValueError, match="at least 16 frames"):
             ana.avg_spectrum(white_noise(2048, 8000, 0))
 
+    def test_zero_sum_window_rejected(self):
+        # Both samples of a 2-point Hann window are 0, so normalising by its sum divides by 0.
+        with pytest.raises(ValueError, match="^hann window of 2 samples has no positive sum$"):
+            ana.avg_spectrum(white_noise(2048, 8000, 0), 2)
+
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
             ana.AveragedSpectrum(np.array([0.0, 2.0, 1.0]), np.zeros(3), 8000, 16)
@@ -178,6 +183,10 @@ class TestTonalProminence:
         with pytest.raises(ValueError, match="outside"):
             ana.tonal_prominence(_flat_spectrum(0.0), 5000.0)
 
+    def test_spectrum_too_short_for_a_background_rejected(self):
+        with pytest.raises(ValueError, match="no background bins around 1000.0 Hz in a 5-bin spectrum"):
+            ana.tonal_prominence(_flat_spectrum(0.0, bins=5), 1000.0)
+
     def test_detection_uses_the_threshold(self):
         spec = _flat_spectrum(-60.0)
         db = spec.magnitude_db.copy()
@@ -190,9 +199,8 @@ class TestTonalProminence:
         assert ana.detect_tonal_peaks(spec, [2000.0], threshold_db=10.0) == []
 
     def test_replica_lines_in_a_stretched_tone(self):
-        from upsample_audit.upsamplers import stretch
-
-        spec = ana.avg_spectrum(stretch(tone(1 << 14, 8000, 1000.0), 4), window_size=512)
+        stretched = apply(UpsamplerSpec(kind="stretch", factor=4), tone(1 << 14, 8000, 1000.0))
+        spec = ana.avg_spectrum(stretched, window_size=512)
         for freq in (1000.0, 7000.0, 9000.0, 15000.0):
             assert ana.tonal_prominence(spec, freq) > 40.0
 
@@ -220,9 +228,7 @@ class TestBandAttenuation:
 
 class TestArtifactReport:
     def test_stretched_ones_read_as_tonal(self):
-        from upsample_audit.upsamplers import stretch
-
-        spec = ana.avg_spectrum(stretch(ones(1 << 15, 8000), 4))
+        spec = ana.avg_spectrum(apply(UpsamplerSpec(kind="stretch", factor=4), ones(1 << 15, 8000)))
         report = ana.artifact_report(spec, 8000, 4)
         assert report.tonal_detected
         assert [p.freq_hz for p in report.tonal_peaks] == [8000.0, 16000.0]
@@ -230,9 +236,8 @@ class TestArtifactReport:
         assert list(report.predicted_replicas_hz) == [8000.0, 16000.0]
 
     def test_sinc_noise_reads_as_filtered(self):
-        from upsample_audit.upsamplers import sinc_interpolate
-
-        spec = ana.avg_spectrum(sinc_interpolate(white_noise(1 << 15, 8000, 11), 4))
+        interpolated = apply(UpsamplerSpec(kind="sinc", factor=4), white_noise(1 << 15, 8000, 11))
+        spec = ana.avg_spectrum(interpolated)
         report = ana.artifact_report(spec, 8000, 4)
         assert report.filtering_detected
         assert not report.tonal_detected
@@ -240,9 +245,7 @@ class TestArtifactReport:
 
     @pytest.mark.parametrize("fs_in,factor", [(8000, 2), (8000, 8), (4000, 4)])
     def test_rate_inconsistent_arguments_rejected(self, fs_in, factor):
-        from upsample_audit.upsamplers import stretch
-
-        spec = ana.avg_spectrum(stretch(ones(1 << 15, 8000), 4))
+        spec = ana.avg_spectrum(apply(UpsamplerSpec(kind="stretch", factor=4), ones(1 << 15, 8000)))
         with pytest.raises(ValueError, match="spectrum rate 32000 Hz is not fs_in"):
             ana.artifact_report(spec, fs_in, factor)
 
@@ -328,6 +331,11 @@ class TestMeasureResponse:
     def test_short_signals_rejected(self):
         with pytest.raises(ValueError, match="too short"):
             ana.measure_response(UpsamplerSpec(kind="stretch", factor=2), 8000, n=1024)
+
+    @pytest.mark.parametrize("realizations", [0, -1])
+    def test_realizations_must_be_positive(self, realizations):
+        with pytest.raises(ValueError, match=f"need at least one realization, got {realizations}"):
+            ana.measure_response(UpsamplerSpec(kind="stretch", factor=2), 8000, realizations)
 
     def test_analytic_response_of_a_two_tap_hold(self):
         resp = ana.analytic_response(np.array([1.0, 1.0]), 512, 16000.0)

@@ -1,4 +1,4 @@
-"""End-to-end checks of the command line interface via subprocesses."""
+"""End-to-end checks of the command line interface, via subprocesses and, for error mapping, cli.main."""
 
 import json
 import subprocess
@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from upsample_audit.signals import read_wav
+from upsample_audit import cli
+from upsample_audit.signals import MAX_WAV_DATA_BYTES, read_wav
 
 
 def run_cli(*args, expect=0):
@@ -80,6 +81,14 @@ class TestGenerate:
             "--out", tmp_path / "t.wav",
             expect=2,
         )
+
+    def test_output_over_the_wav_limit_is_refused_before_allocation(self, tmp_path):
+        out = tmp_path / "big.wav"
+        proc = run_cli("generate", "--kind", "ones", "--n", 2**40, "--fs", 8000, "--out", out, expect=2)
+        assert proc.stderr.splitlines() == [
+            f"error: {2**40} samples of 4 bytes exceed the WAV data limit of {MAX_WAV_DATA_BYTES} bytes"
+        ]
+        assert not out.exists()
 
 
 class TestUpsample:
@@ -179,6 +188,18 @@ class TestUpsample:
             "--layer", "stretch", "--factor", 4,
             expect=2,
         )
+
+    def test_output_over_the_wav_limit_is_refused_before_allocation(self, tmp_path):
+        src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 8000)
+        out = tmp_path / "big.wav"
+        proc = run_cli(
+            "upsample", "--in", src, "--out", out, "--layer", "stretch", "--factor", 2**40,
+            expect=2,
+        )
+        assert proc.stderr.splitlines() == [
+            f"error: {64 * 2**40} samples of 4 bytes exceed the WAV data limit of {MAX_WAV_DATA_BYTES} bytes"
+        ]
+        assert not out.exists()
 
     def test_wavelet_round_trip_refuses_odd_rates(self, tmp_path):
         src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 11025)
@@ -282,6 +303,16 @@ class TestAnalyze:
         assert proc.stderr.splitlines() == [f"error: --threshold-db must be finite, got {value}"]
         assert not report.exists() and not pgm.exists()
 
+    def test_zero_sum_window_is_refused(self, tmp_path):
+        src = make_wav(tmp_path, "n.wav", "--kind", "noise", "--n", 64, "--fs", 8000)
+        report = tmp_path / "r.json"
+        proc = run_cli(
+            "analyze", "--in", src, "--report", report, "--stft-size", 2, "--hop", 1,
+            expect=2,
+        )
+        assert proc.stderr.splitlines() == ["error: hann window of 2 samples has no positive sum"]
+        assert not report.exists()
+
     def test_rate_inconsistent_with_fs_in_and_factor_is_refused(self, stretched_ones, tmp_path):
         report, csv = tmp_path / "r.json", tmp_path / "s.csv"
         proc = run_cli(
@@ -292,6 +323,20 @@ class TestAnalyze:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: spectrum rate 32000 Hz is not fs_in * factor")
         assert not report.exists() and not csv.exists()
+
+
+class TestErrors:
+    def test_failed_allocation_is_one_line_and_exit_2(self, monkeypatch, capsys):
+        def out_of_memory(args):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,)")
+
+        monkeypatch.setattr(cli, "cmd_verify", out_of_memory)
+        assert cli.main(["verify", "--suite", "grads"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: Unable to allocate 8.00 TiB for an array with shape (1099511627776,)"
+        ]
+        assert captured.out == ""
 
 
 class TestVerify:

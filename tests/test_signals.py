@@ -165,6 +165,15 @@ class TestWavRoundTrip:
         with pytest.raises(ValueError, match="mono and stereo"):
             sig.write_wav(tmp_path / "x.wav", x)
 
+    def test_data_chunk_over_the_riff_limit_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sig, "MAX_WAV_DATA_BYTES", 255)
+        x = sig.ones(64, 8000)
+        with pytest.raises(ValueError, match="64 samples of 4 bytes exceed the WAV data limit of 255 bytes"):
+            sig.write_wav(tmp_path / "x.wav", x)
+        assert not (tmp_path / "x.wav").exists()
+        sig.write_wav(tmp_path / "x.wav", x, fmt="pcm16")
+        assert sig.read_wav(tmp_path / "x.wav").num_samples == 64
+
 
 class TestWavReader:
     def test_tiny_file_rejected(self, tmp_path):
