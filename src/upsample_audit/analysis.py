@@ -2,7 +2,12 @@
 
 One STFT front end (_stft: windowed frames of a mono mixdown, |rFFT| per
 frame) feeds spectrogram and two estimator families, which average its
-frames differently on purpose:
+frames differently on purpose. The front end is blocked: it yields the
+frames in blocks of about BLOCK_BYTES, and each consumer writes or sums
+one block at a time, so besides its result an analysis holds one block's
+temporaries however long the signal is. The per-bin sums carry their
+running total as the first row of the next block's reduction, so they
+equal one sum over all frames bit for bit.
 
 * avg_spectrum averages per-frame STFT magnitudes (Hann, 50% overlap).
   It feeds the artifact metrics (tonal prominence, band attenuation),
@@ -35,9 +40,23 @@ _MAG_FLOOR = 10.0 ** (DB_FLOOR / 20.0)
 
 _WINDOWS = {"hann": np.hanning, "rect": np.ones}
 
+# Byte budget of one block of frames in the STFT front end and the PGM export.
+BLOCK_BYTES = 1 << 22
+
+
+def frame_blocks(num_frames: int, row_bytes: int):
+    """Consecutive slices over num_frames rows of row_bytes each, about BLOCK_BYTES per slice."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    for start in range(0, num_frames, step):
+        yield slice(start, min(start + step, num_frames))
+
 
 def _stft(samples: np.ndarray, window_size: int, hop: int, window: str = "hann") -> tuple:
-    """Per-frame |rFFT| of the windowed frames (frames x bins), and the window."""
+    """Check the framing; return the window, the frame count and the blocks.
+
+    The blocks are (rows, |rFFT| of those windowed frames) pairs, in frame
+    order. The checks run at once; each block is computed when it is reached.
+    """
     if window_size < 2 or window_size & (window_size - 1):
         raise ValueError(f"window size must be a power of two, got {window_size}")
     if not 1 <= hop <= window_size:
@@ -50,7 +69,24 @@ def _stft(samples: np.ndarray, window_size: int, hop: int, window: str = "hann")
     if len(samples) < window_size:
         raise ValueError(f"window of {window_size} samples exceeds signal length {len(samples)}")
     frames = np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop]
-    return np.abs(np.fft.rfft(frames * w, axis=1)), w
+    blocks = (
+        (rows, np.abs(np.fft.rfft(frames[rows] * w, axis=1)))
+        for rows in frame_blocks(len(frames), frames.itemsize * window_size)
+    )
+    return w, len(frames), blocks
+
+
+def _sum_frames(blocks) -> np.ndarray:
+    """Per-bin sum of a stream of frames x bins blocks.
+
+    numpy sums axis 0 row by row, so starting each block's sum from the
+    running total as its first row keeps one sum's order of additions.
+    """
+    total = None
+    for block in blocks:
+        rows = block if total is None else np.concatenate((total[np.newaxis], block))
+        total = rows.sum(axis=0)
+    return total
 
 
 def _rfft_freqs(sample_rate_hz: int, window_size: int) -> np.ndarray:
@@ -63,8 +99,12 @@ def _to_db(magnitudes: np.ndarray) -> np.ndarray:
 
 
 def _mixdown(x: Signal) -> np.ndarray:
-    """Channel mean; analysis operates on a mono view of multichannel input."""
-    return x.data.mean(axis=0)
+    """Channel mean; analysis operates on a mono view of multichannel input.
+
+    Mono input is its own mean (dividing by 1 is exact), so its row is
+    returned as a view instead of a copy.
+    """
+    return x.data[0] if x.channels == 1 else x.data.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -73,6 +113,11 @@ class Spectrogram:
 
     Magnitudes are |FFT| / sum(window), so a unit-amplitude complex
     exponential at a bin center reads 0 dB.
+
+    The matrix is stored read-only. A read-only float64 array that owns its
+    data is taken over as it is: making it read-only hands it over. Any
+    other input (writeable, a view, another dtype) is copied, so later
+    writes through it cannot reach the spectrogram.
     """
 
     magnitudes_db: np.ndarray
@@ -91,8 +136,9 @@ class Spectrogram:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("spectrogram magnitudes must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.flags.writeable = False
         object.__setattr__(self, "magnitudes_db", arr)
 
     @property
@@ -112,8 +158,12 @@ def spectrogram(x: Signal, window_size: int = 512, hop: int = 128, window: str =
     """Magnitude STFT in dB. window_size must be a power of two, hop <= window_size."""
     window_size = int(window_size)
     hop = int(hop)
-    mags, w = _stft(_mixdown(x), window_size, hop, window)
-    return Spectrogram(_to_db(mags / w.sum()), x.sample_rate_hz, window_size, hop, window)
+    w, frames, blocks = _stft(_mixdown(x), window_size, hop, window)
+    db = np.empty((frames, window_size // 2 + 1))
+    for rows, mags in blocks:
+        db[rows] = _to_db(mags / w.sum())
+    db.flags.writeable = False
+    return Spectrogram(db, x.sample_rate_hz, window_size, hop, window)
 
 
 def _freeze_grid(spectrum) -> None:
@@ -157,11 +207,11 @@ class AveragedSpectrum:
 def avg_spectrum(x: Signal, window_size: int = 512) -> AveragedSpectrum:
     """Mean per-frame STFT magnitude: Hann window, 50% overlap, at least 16 frames."""
     window_size = int(window_size)
-    mags, w = _stft(_mixdown(x), window_size, window_size // 2)
-    if mags.shape[0] < 16:
-        raise ValueError(f"need at least 16 frames for a stable average, got {mags.shape[0]}")
-    db = _to_db(mags.mean(axis=0) / w.sum())
-    return AveragedSpectrum(_rfft_freqs(x.sample_rate_hz, window_size), db, x.sample_rate_hz, mags.shape[0])
+    w, frames, blocks = _stft(_mixdown(x), window_size, window_size // 2)
+    if frames < 16:
+        raise ValueError(f"need at least 16 frames for a stable average, got {frames}")
+    db = _to_db(_sum_frames(mags for _, mags in blocks) / frames / w.sum())
+    return AveragedSpectrum(_rfft_freqs(x.sample_rate_hz, window_size), db, x.sample_rate_hz, frames)
 
 
 def average_spectra(spectra) -> AveragedSpectrum:
@@ -338,9 +388,9 @@ def measure_response(
             raise ValueError(
                 f"output too short for edge trimming: {len(samples)} samples; increase n"
             )
-        power = _stft(samples[_EDGE_TRIM:-_EDGE_TRIM], window_size, window_size // 2)[0] ** 2
-        acc = acc + power.sum(axis=0)
-        total_frames += power.shape[0]
+        _, frames, blocks = _stft(samples[_EDGE_TRIM:-_EDGE_TRIM], window_size, window_size // 2)
+        acc = acc + _sum_frames(mags ** 2 for _, mags in blocks)
+        total_frames += frames
     db = 10.0 * np.log10(np.maximum(acc / total_frames, _POWER_FLOOR))
     return FrequencyResponse(_rfft_freqs(fs_out, window_size), db - db[0], fs_out)
 

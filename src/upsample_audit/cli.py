@@ -26,6 +26,7 @@ from .upsamplers import (
     WaveletFilters,
     apply,
     classify_overlap,
+    largest_array,
     lifting_analysis,
     lifting_param_grads,
     rectangular_filter,
@@ -115,7 +116,7 @@ def cmd_upsample(args) -> int:
     if args.wavelet_mode == "roundtrip":
         out = wavelet_roundtrip(spec, signal)
     else:
-        sig.check_wav_size(spec.factor * signal.num_samples * signal.channels)
+        sig.check_wav_size(largest_array(spec, signal.channels, signal.num_samples))
         out = apply(spec, signal)
     sig.write_wav(args.out, out, fmt="float32")
     print(_json_line({
@@ -146,14 +147,29 @@ def _write_csv(path, matrix: np.ndarray) -> None:
     np.savetxt(path, matrix, fmt="%.6f", delimiter=",", newline="\n")
 
 
+def _gray_levels(db: np.ndarray) -> np.ndarray:
+    """dB in [-80, 0] mapped to [0, 255] as uint8, scaled in place on one clipped copy."""
+    levels = np.clip(db, -80.0, 0.0)
+    levels += 80.0
+    levels /= 80.0
+    levels *= 255.0
+    return np.round(levels, out=levels).astype(np.uint8)
+
+
 def _write_pgm(path, spectrogram: ana.Spectrogram) -> None:
-    """8-bit binary PGM: dB in [-80, 0] mapped to [0, 255], bin 0 at the bottom row."""
-    db = np.clip(spectrogram.magnitudes_db, -80.0, 0.0)
-    scaled = np.round((db + 80.0) / 80.0 * 255.0).astype(np.uint8)
-    img = np.flipud(scaled.T)
+    """8-bit binary PGM: dB in [-80, 0] mapped to [0, 255], bin 0 at the bottom row.
+
+    The image is filled one block of frames at a time, so the float
+    temporaries stay one block in size.
+    """
+    db = spectrogram.magnitudes_db
+    img = np.empty((spectrogram.num_bins, spectrogram.num_frames), dtype=np.uint8)
+    for rows in ana.frame_blocks(spectrogram.num_frames, db.itemsize * spectrogram.num_bins):
+        img[::-1, rows] = _gray_levels(db[rows]).T
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(header + img.tobytes())
+        fh.write(header)
+        fh.write(img.data)
 
 
 def cmd_analyze(args) -> int:

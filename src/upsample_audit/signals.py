@@ -168,7 +168,7 @@ def read_wav(path) -> Signal:
     unsupported codecs.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = memoryview(fh.read())
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise ValueError(f"{path}: not a RIFF/WAVE file")
 

@@ -8,6 +8,7 @@ from .config import (
     WAVELET_KINDS,
     UpsamplerSpec,
     apply,
+    largest_array,
     random_filters,
     wavelet_roundtrip,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "WAVELET_KINDS",
     "UpsamplerSpec",
     "apply",
+    "largest_array",
     "random_filters",
     "wavelet_roundtrip",
     "FULL_OVERLAP",

@@ -111,6 +111,29 @@ def random_filters(spec: UpsamplerSpec) -> np.ndarray:
     return (2.0 * rng.random(shape) - 1.0) * scale
 
 
+def largest_array(spec: UpsamplerSpec, channels: int, num_samples: int) -> int:
+    """Values in the largest array apply allocates for (channels, num_samples) input.
+
+    That is the output, (K-1)*S+L samples per channel for transposed and
+    M*K for every other kind, or the polyphase kernel's (C, K+T-1, M)
+    buffer of T taps per branch, whichever is larger. It is computed
+    without allocating, so a caller can refuse a size before apply runs.
+    """
+    m, k = spec.factor, num_samples
+    length = m * k
+    taps = 1
+    if spec.kind == "transposed":
+        length = (k - 1) * spec.stride + spec.filter_length
+        taps = -(-spec.filter_length // m)
+    elif spec.kind == "subpixel":
+        taps = spec.filter_length
+    elif spec.kind == "linear":  # the 2M-1 triangle; stretch and nearest fit one tap
+        taps = 2
+    elif spec.kind == "sinc":
+        taps = -(-_sinc_taps(m, spec.sinc_taps) // m)
+    return channels * max(length, m * (k + taps - 1))
+
+
 def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
     """Run the configured layer on a signal.
 

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from upsample_audit import analysis as ana
 from upsample_audit import cli
+from upsample_audit import signals as sig
 from upsample_audit.signals import MAX_WAV_DATA_BYTES, read_wav
 
 
@@ -201,6 +203,35 @@ class TestUpsample:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "layer, values",
+        [
+            (["--layer", "transposed", "--stride", 4, "--length", 1000], 63 * 4 + 1000),
+            (["--layer", "subpixel", "--factor", 4, "--length", 1000], 4 * (64 + 1000 - 1)),
+            (["--layer", "sinc", "--factor", 4, "--taps", 4001], 4 * (64 + 1001 - 1)),
+        ],
+    )
+    def test_filter_length_is_bounded_before_allocation(self, tmp_path, monkeypatch, capsys, layer, values):
+        src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 8000)
+        out = tmp_path / "big.wav"
+        monkeypatch.setattr(sig, "MAX_WAV_DATA_BYTES", 4 * 1000)
+        monkeypatch.setattr(cli, "apply", lambda spec, x: pytest.fail("apply ran before the size check"))
+        argv = ["upsample", "--in", str(src), "--out", str(out), *map(str, layer)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {values} samples of 4 bytes exceed the WAV data limit of 4000 bytes"
+        ]
+        assert not out.exists()
+
+    def test_filters_within_the_limit_still_run(self, tmp_path, monkeypatch):
+        src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 8000)
+        out = tmp_path / "up.wav"
+        monkeypatch.setattr(sig, "MAX_WAV_DATA_BYTES", 4 * 1000)
+        argv = ["upsample", "--in", str(src), "--out", str(out), "--layer", "transposed",
+                "--stride", "4", "--length", "9"]
+        assert cli.main(argv) == 0
+        assert read_wav(out).num_samples == 63 * 4 + 9
+
     def test_wavelet_round_trip_refuses_odd_rates(self, tmp_path):
         src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 11025)
         out = tmp_path / "rt.wav"
@@ -283,6 +314,19 @@ class TestAnalyze:
         header = f"P5\n{frames} {bins}\n255\n".encode()
         assert raw.startswith(header)
         assert len(raw) == len(header) + frames * bins
+
+    def test_pgm_payload_is_the_flipped_gray_level_image(self, tmp_path):
+        # A loud tone reaches above 0 dB and its far bins fall below -80 dB;
+        # hop 1 gives 7681 frames, several blocks of the PGM writer.
+        src = make_wav(tmp_path, "t.wav", "--kind", "tone", "--n", 8192, "--fs", 8000,
+                       "--f0", 1000, "--amplitude", 4)
+        pgm_path = tmp_path / "s.pgm"
+        run_cli("analyze", "--in", src, "--report", tmp_path / "r.json", "--hop", 1, "--pgm", pgm_path)
+        db = ana.spectrogram(read_wav(src), hop=1).magnitudes_db
+        assert db.max() > 0.0 and db.min() < -80.0
+        img = np.flipud(np.round((np.clip(db, -80.0, 0.0) + 80.0) / 80.0 * 255.0).astype(np.uint8).T)
+        header = f"P5\n{db.shape[0]} {db.shape[1]}\n255\n".encode()
+        assert pgm_path.read_bytes() == header + img.tobytes()
 
     def test_replica_prediction_needs_both_rate_and_factor(self, tmp_path):
         src = make_wav(tmp_path, "n.wav", "--kind", "noise", "--n", 8192, "--fs", 8000)
