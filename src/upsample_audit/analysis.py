@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Signal, white_noise
+from .signals import BLOCK_BYTES, Signal, frame_blocks, frozen, readonly_float64, white_noise
 from .upsamplers.config import WAVELET_KINDS, UpsamplerSpec, apply
 from .upsamplers.wavelets import LiftingParams, cascade_analysis, cascade_synthesis, detail_shapes
 
@@ -39,17 +39,6 @@ DB_FLOOR = -120.0
 _MAG_FLOOR = 10.0 ** (DB_FLOOR / 20.0)
 
 _WINDOWS = {"hann": np.hanning, "rect": np.ones}
-
-# Byte budget of one block of frames in the STFT front end and the PGM export.
-BLOCK_BYTES = 1 << 22
-
-
-def frame_blocks(num_frames: int, row_bytes: int):
-    """Consecutive slices over num_frames rows of row_bytes each, about BLOCK_BYTES per slice."""
-    step = max(1, BLOCK_BYTES // row_bytes)
-    for start in range(0, num_frames, step):
-        yield slice(start, min(start + step, num_frames))
-
 
 def _stft(samples: np.ndarray, window_size: int, hop: int, window: str = "hann") -> tuple:
     """Check the framing; return the window, the frame count and the blocks.
@@ -102,9 +91,19 @@ def _mixdown(x: Signal) -> np.ndarray:
     """Channel mean; analysis operates on a mono view of multichannel input.
 
     Mono input is its own mean (dividing by 1 is exact), so its row is
-    returned as a view instead of a copy.
+    returned as a view instead of a copy. Channels that cancel in the mean
+    (mixdown energy more than 20 dB below the mean channel energy) would
+    read as silence, so they are refused.
     """
-    return x.data[0] if x.channels == 1 else x.data.mean(axis=0)
+    if x.channels == 1:
+        return x.data[0]
+    mix = x.data.mean(axis=0)
+    channel_energy = sum(np.dot(row, row) for row in x.data) / x.channels
+    if np.dot(mix, mix) < 0.01 * channel_energy:
+        raise ValueError(
+            f"the {x.channels} channels cancel in the mixdown: its energy is more than 20 dB below theirs"
+        )
+    return mix
 
 
 @dataclass(frozen=True)
@@ -114,10 +113,9 @@ class Spectrogram:
     Magnitudes are |FFT| / sum(window), so a unit-amplitude complex
     exponential at a bin center reads 0 dB.
 
-    The matrix is stored read-only. A read-only float64 array that owns its
-    data is taken over as it is: making it read-only hands it over. Any
-    other input (writeable, a view, another dtype) is copied, so later
-    writes through it cannot reach the spectrogram.
+    The matrix is stored read-only under Signal's ownership rule: a
+    read-only, C-contiguous float64 array that owns its data is taken over
+    as it is, and any other input is copied (`signals.readonly_float64`).
     """
 
     magnitudes_db: np.ndarray
@@ -127,7 +125,7 @@ class Spectrogram:
     window_kind: str
 
     def __post_init__(self):
-        arr = np.asarray(self.magnitudes_db, dtype=np.float64)
+        arr = readonly_float64(self.magnitudes_db)
         if arr.ndim != 2:
             raise ValueError("spectrogram matrix must be 2D (frames x bins)")
         if arr.shape[1] != self.window_size // 2 + 1:
@@ -136,9 +134,6 @@ class Spectrogram:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("spectrogram magnitudes must be finite")
-        if arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.copy()
-            arr.flags.writeable = False
         object.__setattr__(self, "magnitudes_db", arr)
 
     @property
@@ -162,8 +157,7 @@ def spectrogram(x: Signal, window_size: int = 512, hop: int = 128, window: str =
     db = np.empty((frames, window_size // 2 + 1))
     for rows, mags in blocks:
         db[rows] = _to_db(mags / w.sum())
-    db.flags.writeable = False
-    return Spectrogram(db, x.sample_rate_hz, window_size, hop, window)
+    return Spectrogram(frozen(db), x.sample_rate_hz, window_size, hop, window)
 
 
 def _freeze_grid(spectrum) -> None:

@@ -19,13 +19,11 @@ import numpy as np
 from . import analysis as ana
 from . import signals as sig
 from .upsamplers import (
-    HAAR_PARAMS,
     KINDS,
     LiftingParams,
     UpsamplerSpec,
     WaveletFilters,
     apply,
-    classify_overlap,
     largest_array,
     lifting_analysis,
     lifting_param_grads,
@@ -164,7 +162,7 @@ def _write_pgm(path, spectrogram: ana.Spectrogram) -> None:
     """
     db = spectrogram.magnitudes_db
     img = np.empty((spectrogram.num_bins, spectrogram.num_frames), dtype=np.uint8)
-    for rows in ana.frame_blocks(spectrogram.num_frames, db.itemsize * spectrogram.num_bins):
+    for rows in sig.frame_blocks(spectrogram.num_frames, db.itemsize * spectrogram.num_bins):
         img[::-1, rows] = _gray_levels(db[rows]).T
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:

@@ -17,14 +17,54 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# Byte budget of one block of frames in the STFT front end and the WAV and
+# PGM writers.
+BLOCK_BYTES = 1 << 22
+
+
+def frame_blocks(num_frames: int, row_bytes: int):
+    """Consecutive slices over num_frames rows of row_bytes each, about BLOCK_BYTES per slice."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    for start in range(0, num_frames, step):
+        yield slice(start, min(start + step, num_frames))
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly made array read-only, so Signal takes it over without a copy."""
+    arr.flags.writeable = False
+    return arr
+
+
+def readonly_float64(data) -> np.ndarray:
+    """`data` itself if it is a read-only, C-contiguous float64 ndarray that
+    owns its data; otherwise a read-only, C-ordered float64 copy of it.
+
+    Freezing a fresh array (`frozen`) is how a caller hands it over. Anything
+    else is copied, so later writes by the caller cannot reach the result.
+    """
+    if not (
+        type(data) is np.ndarray
+        and data.dtype == np.float64
+        and not data.flags.writeable
+        and data.flags.owndata
+        and data.flags.c_contiguous
+    ):
+        data = frozen(np.array(data, dtype=np.float64, order="C"))
+    return data
+
+
 @dataclass(frozen=True)
 class Signal:
     """A sampled waveform: one row of `data` per channel.
 
-    `data` is coerced to a read-only 2D float64 array of shape
-    (channels, num_samples). `padded` marks a signal whose final sample is
-    a zero appended by a wavelet analysis step on odd-length input, so the
-    matching synthesis step can trim it.
+    `data` is stored as a read-only 2D float64 array of shape
+    (channels, num_samples); 1D data is one channel. A read-only,
+    C-contiguous float64 array that owns its data is taken over as it is
+    (see `frozen`); any other input (writeable, a view, non-contiguous,
+    another dtype) is copied, so later writes through it cannot reach the
+    signal. Every sample is checked to be finite either way. `padded` marks
+    a signal whose final sample is a zero appended by a wavelet analysis
+    step on odd-length input, so the matching synthesis step can trim it.
     """
 
     data: np.ndarray
@@ -32,7 +72,7 @@ class Signal:
     padded: bool = field(default=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = readonly_float64(self.data)
         if arr.ndim == 1:
             arr = arr[np.newaxis, :]
         if arr.ndim != 2:
@@ -43,8 +83,6 @@ class Signal:
             raise ValueError("signal samples must be finite")
         if int(self.sample_rate_hz) <= 0:
             raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 
@@ -78,14 +116,14 @@ def white_noise(n: int, fs: int, seed: int) -> Signal:
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     samples = 2.0 * _rng(seed).random(n) - 1.0
-    return Signal(samples, fs)
+    return Signal(frozen(samples), fs)
 
 
 def ones(n: int, fs: int) -> Signal:
     """Constant signal of amplitude 1, single channel."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    return Signal(np.ones(n), fs)
+    return Signal(frozen(np.ones(n)), fs)
 
 
 def tone(n: int, fs: int, f0: float, amplitude: float = 1.0) -> Signal:
@@ -99,7 +137,7 @@ def tone(n: int, fs: int, f0: float, amplitude: float = 1.0) -> Signal:
     if not 0 < f0 < fs / 2:
         raise ValueError(f"tone frequency must satisfy 0 < f0 < fs/2, got f0={f0} at fs={fs}")
     k = np.arange(n)
-    return Signal(amplitude * np.sin(2.0 * np.pi * f0 * k / fs), fs)
+    return Signal(frozen(amplitude * np.sin(2.0 * np.pi * f0 * k / fs)), fs)
 
 
 # ---------------------------------------------------------------------------
@@ -125,39 +163,46 @@ def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
 
     float32 is lossless for float32-representable samples. pcm16 quantizes
     with symmetric scale 32767; samples outside [-1, 1] are saturated with
-    a warning. A data chunk over MAX_WAV_DATA_BYTES raises ValueError.
+    a warning. A data chunk over MAX_WAV_DATA_BYTES raises ValueError. The
+    samples are converted and written one block of frames at a time, so
+    the writer holds one block's bytes however long the signal is.
     """
     if fmt not in ("pcm16", "float32"):
         raise ValueError(f"unsupported format {fmt!r}, expected 'pcm16' or 'float32'")
     if signal.channels > 2:
         raise ValueError(f"only mono and stereo are supported, got {signal.channels} channels")
-    check_wav_size(signal.data.size, 2 if fmt == "pcm16" else 4)
-
-    interleaved = signal.data.T.reshape(-1)
-    if fmt == "pcm16":
-        if np.any(np.abs(interleaved) > 1.0):
-            warnings.warn("samples outside [-1, 1] are saturated in pcm16 export")
-            interleaved = np.clip(interleaved, -1.0, 1.0)
-        payload = np.round(interleaved * _PCM16_SCALE).astype("<i2").tobytes()
-        audio_format, bits = 1, 16
-    else:
-        payload = interleaved.astype("<f4").tobytes()
-        audio_format, bits = 3, 32
+    bits = 16 if fmt == "pcm16" else 32
+    check_wav_size(signal.data.size, bits // 8)
+    # Samples are finite, so max/min find |x| > 1 without a full-size temporary.
+    saturate = fmt == "pcm16" and (signal.data.max() > 1.0 or signal.data.min() < -1.0)
+    if saturate:
+        warnings.warn("samples outside [-1, 1] are saturated in pcm16 export")
 
     ch = signal.channels
     block_align = ch * bits // 8
-    byte_rate = signal.sample_rate_hz * block_align
-    fmt_chunk = struct.pack(
-        "<4sIHHIIHH", b"fmt ", 16, audio_format, ch,
-        signal.sample_rate_hz, byte_rate, block_align, bits,
+    data_bytes = signal.data.size * bits // 8
+    header = struct.pack(
+        "<4sIHHIIHH", b"fmt ", 16, 1 if fmt == "pcm16" else 3, ch,
+        signal.sample_rate_hz, signal.sample_rate_hz * block_align, block_align, bits,
     )
-    chunks = fmt_chunk
-    if audio_format == 3:
-        chunks += struct.pack("<4sII", b"fact", 4, signal.num_samples)
-    chunks += struct.pack("<4sI", b"data", len(payload)) + payload
+    if fmt == "float32":
+        header += struct.pack("<4sII", b"fact", 4, signal.num_samples)
+    header += struct.pack("<4sI", b"data", data_bytes)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI4s", b"RIFF", 4 + len(chunks), b"WAVE"))
-        fh.write(chunks)
+        fh.write(struct.pack("<4sI4s", b"RIFF", 4 + len(header) + data_bytes, b"WAVE"))
+        fh.write(header)
+        for cols in frame_blocks(signal.num_samples, ch * signal.data.itemsize):
+            frames = signal.data[:, cols].T  # interleaved: frames x channels
+            fh.write(_pcm16(frames, saturate) if fmt == "pcm16" else frames.astype("<f4", order="C"))
+
+
+def _pcm16(frames: np.ndarray, saturate: bool) -> np.ndarray:
+    """Frames quantized to little-endian int16, through one float64 copy scaled in place."""
+    block = np.array(frames, order="C")
+    if saturate:
+        np.clip(block, -1.0, 1.0, out=block)
+    block *= _PCM16_SCALE
+    return np.round(block, out=block).astype("<i2")
 
 
 def read_wav(path) -> Signal:
@@ -194,11 +239,17 @@ def read_wav(path) -> Signal:
     if ch not in (1, 2):
         raise ValueError(f"{path}: only mono and stereo are supported, got {ch} channels")
     if (audio_format, bits) == (1, 16):
-        flat = np.frombuffer(payload, dtype="<i2").astype(np.float64) / _PCM16_SCALE
+        flat = np.frombuffer(payload, dtype="<i2")
     elif (audio_format, bits) == (3, 32):
-        flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        flat = np.frombuffer(payload, dtype="<f4")
     else:
         raise ValueError(f"{path}: unsupported codec (format={audio_format}, bits={bits})")
     if flat.size == 0 or flat.size % ch:
         raise ValueError(f"{path}: data chunk size does not match the channel count")
-    return Signal(flat.reshape(-1, ch).T, rate)
+    # One conversion, straight from the file's interleaved frames into channel rows.
+    data = np.empty((ch, flat.size // ch))
+    if bits == 16:
+        np.divide(flat.reshape(-1, ch).T, _PCM16_SCALE, out=data)
+    else:
+        data[...] = flat.reshape(-1, ch).T
+    return Signal(frozen(data), rate)

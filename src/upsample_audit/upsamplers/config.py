@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..signals import Signal
+from ..signals import Signal, frozen
 from . import convolution
 from .interpolation import _sinc_taps, rectangular_filter, sinc_filter, triangular_filter
 from .wavelets import LiftingParams, cascade_analysis, cascade_synthesis, detail_shapes
@@ -112,12 +112,15 @@ def random_filters(spec: UpsamplerSpec) -> np.ndarray:
 
 
 def largest_array(spec: UpsamplerSpec, channels: int, num_samples: int) -> int:
-    """Values in the largest array apply allocates for (channels, num_samples) input.
+    """An upper bound on the values of any one array apply allocates for (channels, num_samples) input.
 
-    That is the output, (K-1)*S+L samples per channel for transposed and
-    M*K for every other kind, or the polyphase kernel's (C, K+T-1, M)
-    buffer of T taps per branch, whichever is larger. It is computed
-    without allocating, so a caller can refuse a size before apply runs.
+    That is the larger of the output, (K-1)*S+L samples per channel for
+    transposed and M*K for every other kind, and C*M*(K+T-1) for a
+    polyphase kernel of T taps per branch. The second term bounds the
+    filters (at most M*T taps: the FIR prototype, or subpixel's M
+    sub-filters of L taps) and the K+T-1 samples np.convolve returns per
+    branch. It is computed without allocating, so a caller can refuse a
+    size before apply runs.
     """
     m, k = spec.factor, num_samples
     length = m * k
@@ -143,7 +146,10 @@ def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
     rate per cascade level.
     """
     if spec.kind in WAVELET_KINDS:
-        zeros = [Signal(np.zeros(shape), rate) for shape, rate in detail_shapes(x, spec.wavelet_levels)]
+        # Read-only zeros are taken over as they are, so their pages are never touched.
+        zeros = [
+            Signal(frozen(np.zeros(shape)), rate) for shape, rate in detail_shapes(x, spec.wavelet_levels)
+        ]
         return cascade_synthesis(x, zeros, spec.wavelet_base, spec.lifting)
     m = spec.factor
     if spec.kind == "transposed":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..signals import Signal
+from ..signals import Signal, frozen
 
 NO_OVERLAP = "no-overlap"
 FULL_OVERLAP = "full-overlap"
@@ -22,16 +22,20 @@ def _polyphase(x: np.ndarray, branches: np.ndarray, start: int, length: int) -> 
     """Rows of x (C, K) through branches (M, T), interleaved, cropped to [start, start+length).
 
     The full output has M*(K+T-1) samples per row: y[c, qM+j] = (x[c] * b_j)[q].
-    All-zero branches (M-1 of stretch's M) are left at zero instead of convolved.
+    Each branch's convolution goes straight into the output samples it owns,
+    every M-th from its first one inside the window, so the result is a
+    fresh read-only (C, length) array that Signal takes over. All-zero
+    branches (M-1 of stretch's M) are left at zero instead of convolved.
     """
-    channels, steps = x.shape
-    m, taps = branches.shape
-    full = np.zeros((channels, steps + taps - 1, m))
-    live = np.flatnonzero(branches.any(axis=1))
-    for c in range(channels):
-        for j in live:
-            full[c, :, j] = np.convolve(x[c], branches[j])
-    return full.reshape(channels, -1)[:, start : start + length]
+    m = branches.shape[0]
+    out = np.zeros((x.shape[0], length))
+    for j in np.flatnonzero(branches.any(axis=1)):
+        first = -(-(start - j) // m)  # first q with qM + j >= start
+        n0 = first * m + j - start
+        count = len(range(n0, length, m))
+        for c in range(x.shape[0]):
+            out[c, n0::m] = np.convolve(x[c], branches[j])[first : first + count]
+    return frozen(out)
 
 
 def _branches(h: np.ndarray, m: int) -> np.ndarray:
@@ -100,7 +104,7 @@ def transposed_conv(x: Signal, filters: np.ndarray, stride: int) -> Signal:
     for o in range(w.shape[0]):
         for c in range(x.channels):
             out[o] += _transposed(x.data[c : c + 1], w[o, c], stride)[0]
-    return Signal(out, stride * x.sample_rate_hz)
+    return Signal(frozen(out), stride * x.sample_rate_hz)
 
 
 def periodic_shuffle(z: Signal, m: int) -> Signal:
@@ -152,4 +156,4 @@ def subpixel_conv(x: Signal, filters: np.ndarray, m: int) -> Signal:
     for o in range(out.shape[0]):
         for c in range(x.channels):
             out[o] += _subpixel(x.data[c : c + 1], w[o * m : (o + 1) * m, c])[0]
-    return Signal(out, m * x.sample_rate_hz)
+    return Signal(frozen(out), m * x.sample_rate_hz)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..signals import Signal
+from ..signals import Signal, frozen
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -107,18 +107,20 @@ def _band_pair(x: Signal, coarse: np.ndarray, detail: np.ndarray, padded: bool):
     if x.sample_rate_hz % 2:
         raise ValueError(f"wavelet analysis needs an even sample rate, got {x.sample_rate_hz} Hz")
     rate = x.sample_rate_hz // 2
-    return Signal(coarse, rate, padded=padded), Signal(detail, rate, padded=padded)
+    return Signal(frozen(coarse), rate, padded=padded), Signal(frozen(detail), rate, padded=padded)
 
 
-def _merge(coarse: Signal, detail: Signal, even: np.ndarray, odd: np.ndarray) -> Signal:
-    if even.shape != odd.shape:
-        raise ValueError(f"band shapes differ: {even.shape} vs {odd.shape}")
-    out = np.empty((even.shape[0], 2 * even.shape[1]))
-    out[:, 0::2] = even
-    out[:, 1::2] = odd
-    if coarse.padded or detail.padded:
-        out = out[:, :-1]
-    return Signal(out, 2 * coarse.sample_rate_hz)
+def _synthesis_out(coarse: Signal, detail: Signal):
+    """The synthesis output, its trailing pad already dropped, and its even and odd samples.
+
+    Synthesis writes the two phases straight into these views; the odd
+    view is one sample shorter than the bands when the pad is dropped.
+    """
+    if coarse.data.shape != detail.data.shape:
+        raise ValueError(f"band shapes differ: {coarse.data.shape} vs {detail.data.shape}")
+    channels, k = coarse.data.shape
+    out = np.empty((channels, 2 * k - (coarse.padded or detail.padded)))
+    return out, out[:, 0::2], out[:, 1::2]
 
 
 def haar_analysis(x: Signal):
@@ -130,7 +132,11 @@ def haar_analysis(x: Signal):
 def haar_synthesis(coarse: Signal, detail: Signal) -> Signal:
     """Exact inverse of haar_analysis."""
     a, d = coarse.data, detail.data
-    return _merge(coarse, detail, (a + d) * _INV_SQRT2, (a - d) * _INV_SQRT2)
+    out, even, odd = _synthesis_out(coarse, detail)
+    n = odd.shape[1]
+    np.multiply(np.add(a, d, out=even), _INV_SQRT2, out=even)
+    np.multiply(np.subtract(a[:, :n], d[:, :n], out=odd), _INV_SQRT2, out=odd)
+    return Signal(frozen(out), 2 * coarse.sample_rate_hz)
 
 
 def lifting_analysis(x: Signal, params: LiftingParams):
@@ -142,12 +148,18 @@ def lifting_analysis(x: Signal, params: LiftingParams):
 
 
 def lifting_synthesis(coarse: Signal, detail: Signal, params: LiftingParams) -> Signal:
-    """Exact inverse of lifting_analysis for any nonzero A."""
-    d = params.a * detail.data
-    c = coarse.data / params.a
-    even = c - params.u * d
-    odd = d + params.p * even
-    return _merge(coarse, detail, even, odd)
+    """Exact inverse of lifting_analysis for any nonzero A.
+
+    d = A*detail, c = coarse/A, even = c - U*d, odd = d + P*even. d is
+    built in the odd samples unless a pad is dropped there.
+    """
+    out, even, odd = _synthesis_out(coarse, detail)
+    n = odd.shape[1]
+    d = np.multiply(params.a, detail.data, out=odd if n == even.shape[1] else None)
+    np.divide(coarse.data, params.a, out=even)
+    np.subtract(even, params.u * d, out=even)
+    np.add(d[:, :n], params.p * even[:, :n], out=odd)
+    return Signal(frozen(out), 2 * coarse.sample_rate_hz)
 
 
 def lifting_param_grads(x: Signal, params: LiftingParams) -> LiftingGradients:

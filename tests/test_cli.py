@@ -369,6 +369,17 @@ class TestAnalyze:
         assert not report.exists() and not csv.exists()
 
 
+    def test_cancelling_channels_are_refused(self, tmp_path):
+        src, report = tmp_path / "anti.wav", tmp_path / "r.json"
+        left = sig.tone(32000, 32000, 3000.0)
+        sig.write_wav(src, sig.Signal(np.vstack([left.data, -left.data]), 32000))
+        proc = run_cli("analyze", "--in", src, "--report", report, expect=2)
+        assert proc.stderr.splitlines() == [
+            "error: the 2 channels cancel in the mixdown: its energy is more than 20 dB below theirs"
+        ]
+        assert not report.exists()
+
+
 class TestErrors:
     def test_failed_allocation_is_one_line_and_exit_2(self, monkeypatch, capsys):
         def out_of_memory(args):

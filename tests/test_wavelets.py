@@ -273,3 +273,9 @@ class TestCascade:
             wavelet_roundtrip(UpsamplerSpec(kind="wavelet-haar", factor=2), white_noise(64, 11025, 0))
         with pytest.raises(ValueError, match="even sample rate, got 4001 Hz"):
             cascade_analysis(white_noise(64, 8002, 0), "lazy", 2)
+
+    @pytest.mark.parametrize("synthesize", [haar_synthesis, lambda c, d: lifting_synthesis(c, d, HAAR_PARAMS)])
+    def test_synthesis_refuses_bands_of_different_shapes(self, synthesize):
+        coarse = Signal(np.ones((1, 8)), 8000)
+        with pytest.raises(ValueError, match=r"band shapes differ: \(1, 8\) vs \(2, 8\)"):
+            synthesize(coarse, Signal(np.ones((2, 8)), 8000))
