@@ -1,6 +1,7 @@
 """Upsampling layers: interpolators, transposed/subpixel convolution, wavelets.
 
-`apply(UpsamplerSpec(kind=...), x)` runs every kind in `KINDS`.
+`apply(UpsamplerSpec(kind=...), x)` runs every kind in `KINDS` as zero
+insertion plus one FIR filter per level, read from one table in config.py.
 """
 
 from .config import (
@@ -10,6 +11,8 @@ from .config import (
     apply,
     largest_array,
     random_filters,
+    subpixel_conv,
+    transposed_conv,
     wavelet_roundtrip,
 )
 from .convolution import (
@@ -19,8 +22,6 @@ from .convolution import (
     classify_overlap,
     periodic_shuffle,
     periodic_unshuffle,
-    subpixel_conv,
-    transposed_conv,
 )
 from .interpolation import (
     rectangular_filter,

@@ -1,10 +1,11 @@
-"""Tagged upsampler configuration and apply(), the one entry point for every layer kind.
+"""One filter table for every layer kind, and apply(), the one entry point.
 
-The six polyphase kinds are one kernel call each: the interpolators run
-the M polyphase branches of their FIR prototype (interpolation.py) and keep
-M*K samples from its start sample; transposed and subpixel run their
-seeded filters through the window rules in convolution.py. Wavelet kinds
-drive the cascade synthesis path with zero detail bands.
+Every layer kind is zero insertion followed by one FIR filter h: the
+inserted zeros make the spectral replicas, and h decides whether they
+survive as tonal lines or are attenuated. `_FILTERS` holds each kind's h
+and kept window; a wavelet kind runs one factor-2 level per cascade level,
+its detail band at zero, so only the base's synthesis lowpass is left.
+`apply`, `largest_array` and the dense convolutions all read the table.
 """
 
 from __future__ import annotations
@@ -14,20 +15,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..signals import Signal, frozen
-from . import convolution
+from .convolution import _polyphase
 from .interpolation import _sinc_taps, rectangular_filter, sinc_filter, triangular_filter
-from .wavelets import LiftingParams, cascade_analysis, cascade_synthesis, detail_shapes
+from .wavelets import LiftingParams, WaveletFilters, cascade_analysis, cascade_synthesis
 
-# Interpolator kinds: the FIR prototype h of (M, sinc taps), and whether h is
-# centred (the M*K samples kept start at its middle tap) or causal (at 0).
-_INTERPOLATORS = {
-    "stretch": (lambda m, taps: np.ones(1), True),
-    "nearest": (lambda m, taps: rectangular_filter(m), False),
-    "linear": (lambda m, taps: triangular_filter(m), True),
-    "sinc": (sinc_filter, True),
+
+# Windows of the full output, (start, kept length), for factor M, n = len(h)
+# taps, K input samples and the pad to drop (a wavelet cascade's first level).
+def _upsampled(m, n, k, pad):
+    return 0, m * k - pad
+
+
+def _centred(m, n, k, pad):
+    return (n - 1) // 2, m * k
+
+
+def _full(m, n, k, pad):
+    return 0, (k - 1) * m + n
+
+
+def _same(m, n, k, pad):  # each of the M interleaved sub-filters of n/M taps same-padded
+    return m * ((n // m - 1) // 2), m * k
+
+
+# kind: (len(h), known without building h; h; window; what the input is
+# divided by first, or None). Wavelet rows are one cascade level. Lifting
+# divides by A before [1, P] as lifting_synthesis does; [1/A, P/A] rounds
+# differently.
+_FILTERS = {
+    "stretch": (lambda s: 1, lambda s: np.ones(1), _upsampled, None),
+    "nearest": (lambda s: s.factor, lambda s: rectangular_filter(s.factor), _upsampled, None),
+    "linear": (lambda s: 2 * s.factor - 1, lambda s: triangular_filter(s.factor), _centred, None),
+    "sinc": (lambda s: _sinc_taps(s.factor, s.sinc_taps), lambda s: sinc_filter(s.factor, s.sinc_taps), _centred, None),
+    "transposed": (lambda s: s.filter_length, lambda s: random_filters(s)[0, 0], _full, None),
+    "subpixel": (lambda s: s.factor * s.filter_length, lambda s: random_filters(s)[:, 0].T.reshape(-1), _same, None),
+    "wavelet-lazy": (lambda s: 2, lambda s: np.array([1.0, 0.0]), _upsampled, None),
+    "wavelet-haar": (lambda s: 2, lambda s: WaveletFilters.haar().ls, _upsampled, None),
+    "wavelet-lifting": (lambda s: 2, lambda s: np.array([1.0, s.lifting.p]), _upsampled, lambda s: s.lifting.a),
 }
+KINDS = tuple(_FILTERS)
 WAVELET_KINDS = ("wavelet-lazy", "wavelet-haar", "wavelet-lifting")
-KINDS = (*_INTERPOLATORS, "transposed", "subpixel", *WAVELET_KINDS)
 
 
 @dataclass(frozen=True)
@@ -111,57 +138,44 @@ def random_filters(spec: UpsamplerSpec) -> np.ndarray:
     return (2.0 * rng.random(shape) - 1.0) * scale
 
 
+def layer_filter(spec: UpsamplerSpec, num_samples: int, padded: bool = False):
+    """Yield the levels apply runs, in order: (M, h, start, kept length, input divisor or None) each.
+
+    Each level's input is the previous level's output; a padded input
+    drops its pad at the first level only.
+    """
+    _, fir, window, divisor = _FILTERS[spec.kind]
+    wavelet = spec.kind in WAVELET_KINDS  # factor-2 levels; only wavelet synthesis drops a pad
+    h, k, pad = fir(spec), num_samples, int(padded and wavelet)
+    for m in (2,) * spec.wavelet_levels if wavelet else (spec.factor,):
+        start, k = window(m, len(h), k, pad)
+        yield m, h, start, k, divisor and divisor(spec)
+        pad = 0
+
+
 def largest_array(spec: UpsamplerSpec, channels: int, num_samples: int) -> int:
     """An upper bound on the values of any one array apply allocates for (channels, num_samples) input.
 
-    That is the larger of the output, (K-1)*S+L samples per channel for
-    transposed and M*K for every other kind, and C*M*(K+T-1) for a
-    polyphase kernel of T taps per branch. The second term bounds the
-    filters (at most M*T taps: the FIR prototype, or subpixel's M
-    sub-filters of L taps) and the K+T-1 samples np.convolve returns per
-    branch. It is computed without allocating, so a caller can refuse a
-    size before apply runs.
+    That is the larger of the output and C*M*(K+T-1) for T = ceil(len(h)/M)
+    taps per branch, which bounds the branch filters (M*T taps) and the
+    K+T-1 samples np.convolve returns per branch. A wavelet cascade's
+    factor-2 levels stay within the factor-M bound. len(h) comes from the
+    filter table without building h, so a caller can refuse a size before
+    apply runs.
     """
-    m, k = spec.factor, num_samples
-    length = m * k
-    taps = 1
-    if spec.kind == "transposed":
-        length = (k - 1) * spec.stride + spec.filter_length
-        taps = -(-spec.filter_length // m)
-    elif spec.kind == "subpixel":
-        taps = spec.filter_length
-    elif spec.kind == "linear":  # the 2M-1 triangle; stretch and nearest fit one tap
-        taps = 2
-    elif spec.kind == "sinc":
-        taps = -(-_sinc_taps(m, spec.sinc_taps) // m)
-    return channels * max(length, m * (k + taps - 1))
+    taps, _, window, _ = _FILTERS[spec.kind]
+    m, n = spec.factor, taps(spec)
+    return channels * max(window(m, n, num_samples, 0)[1], m * (num_samples + -(-n // m) - 1))
 
 
 def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
-    """Run the configured layer on a signal.
-
-    Interpolators and convolution layers upsample by spec.factor through
-    one polyphase kernel call. Wavelet kinds drive the synthesis path with
-    the input as the coarsest band and zero detail bands, doubling the
-    rate per cascade level.
-    """
-    if spec.kind in WAVELET_KINDS:
-        # Read-only zeros are taken over as they are, so their pages are never touched.
-        zeros = [
-            Signal(frozen(np.zeros(shape)), rate) for shape, rate in detail_shapes(x, spec.wavelet_levels)
-        ]
-        return cascade_synthesis(x, zeros, spec.wavelet_base, spec.lifting)
-    m = spec.factor
-    if spec.kind == "transposed":
-        y = convolution._transposed(x.data, random_filters(spec)[0, 0], spec.stride)
-    elif spec.kind == "subpixel":
-        y = convolution._subpixel(x.data, random_filters(spec)[:, 0])
-    else:
-        prototype, centred = _INTERPOLATORS[spec.kind]
-        h = prototype(m, spec.sinc_taps)
-        start = (len(h) - 1) // 2 if centred else 0
-        y = convolution._polyphase(x.data, convolution._branches(h, m), start, m * x.num_samples)
-    return Signal(y, m * x.sample_rate_hz)
+    """Run the configured layer on a signal: one polyphase kernel call per level of layer_filter."""
+    data = x.data
+    for m, h, start, length, divisor in layer_filter(spec, x.num_samples, x.padded):
+        if divisor is not None:
+            data = data / divisor
+        data = _polyphase(data, h, m, start, length)
+    return Signal(data, spec.factor * x.sample_rate_hz)
 
 
 def wavelet_roundtrip(spec: UpsamplerSpec, x: Signal) -> Signal:
@@ -170,3 +184,62 @@ def wavelet_roundtrip(spec: UpsamplerSpec, x: Signal) -> Signal:
         raise ValueError(f"round trip is defined for wavelet kinds, not {spec.kind!r}")
     coarse, details = cascade_analysis(x, spec.wavelet_base, spec.wavelet_levels, spec.lifting)
     return cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting)
+
+
+def _check_filters(filters: np.ndarray, in_channels: int) -> np.ndarray:
+    w = np.asarray(filters, dtype=np.float64)
+    if w.ndim != 3:
+        raise ValueError(f"filters must have shape (out_channels, in_channels, length), got ndim={w.ndim}")
+    if w.shape[1] != in_channels:
+        raise ValueError(f"filter in-channel count {w.shape[1]} does not match input channels {in_channels}")
+    if w.shape[2] < 1:
+        raise ValueError("filters must have at least one tap")
+    return w
+
+
+def _dense(kind: str, x: Signal, hs: np.ndarray, m: int) -> Signal:
+    """Output row o sums input row c through hs[o, c], zero-inserted by m, in kind's window."""
+    _, _, window, _ = _FILTERS[kind]
+    start, length = window(m, hs.shape[2], x.num_samples, 0)
+    out = np.zeros((hs.shape[0], length))
+    for o in range(hs.shape[0]):
+        for c in range(x.channels):
+            out[o] += _polyphase(x.data[c : c + 1], hs[o, c], m, start, length)[0]
+    return Signal(frozen(out), m * x.sample_rate_hz)
+
+
+def transposed_conv(x: Signal, filters: np.ndarray, stride: int) -> Signal:
+    """y_o[n] = sum_c sum_k x_c[k] * w_{o,c}[n - k*stride].
+
+    Each input sample stamps a weighted copy of the kernel every `stride`
+    output samples; the full (K-1)*stride + L output is returned without
+    cropping. Output rate is stride times the input rate. When the kernel
+    copies have unequal overlap counts (see classify_overlap) the summed
+    pattern repeats every stride samples, which is the periodicity behind
+    the tonal artifacts this layer can introduce.
+    """
+    stride = int(stride)
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    w = _check_filters(filters, x.channels)
+    if w.shape[2] < stride:
+        raise ValueError(f"filter length {w.shape[2]} must be at least the stride {stride}")
+    return _dense("transposed", x, w, stride)
+
+
+def subpixel_conv(x: Signal, filters: np.ndarray, m: int) -> Signal:
+    """Same-padded stride-1 convolution to M*C_out channels, then periodic shuffle.
+
+    Output channel o interleaves the M streams of filters oM..oM+M-1, so
+    the shuffle is the kernel's interleave: h[tM+j] = w[oM+j, c, t]. When
+    the sub-filters' energies differ, the interleaving imprints an
+    M-periodic pattern on the output.
+    """
+    m = int(m)
+    if m < 1:
+        raise ValueError(f"upsampling factor must be positive, got {m}")
+    w = _check_filters(filters, x.channels)
+    if w.shape[0] % m:
+        raise ValueError(f"filter output-channel count {w.shape[0]} not divisible by factor {m}")
+    o, c, taps = w.shape
+    return _dense("subpixel", x, w.reshape(o // m, m, c, taps).transpose(0, 2, 3, 1).reshape(o // m, c, -1), m)

@@ -5,7 +5,9 @@ rate and reconstruct exactly (perfect reconstruction). The lifting scheme
 implements the split with three scalar parameters (P, U, A) that remain
 meaningful as learnable values, so analytic parameter gradients are
 provided. Cascading re-applies the base wavelet to the coarse band for
-factor-4 operation.
+factor-4 operation. With a zero detail band, a synthesis level is zero
+insertion plus the base's two-tap lowpass: `apply` runs wavelet kinds that
+way (config.py), and synthesis here serves round trips and responses.
 
 Conventions: analysis correlates the input pairs (even, odd) so that a
 constant block produces a nonnegative coarse coefficient and a falling
@@ -189,16 +191,12 @@ _BASES = ("lazy", "haar", "lifting")
 def _resolve_base(base: str, lifting: LiftingParams | None):
     if base not in _BASES:
         raise ValueError(f"unknown wavelet base {base!r}, expected one of {_BASES}")
-    if base == "lifting":
-        if lifting is None:
-            raise ValueError("lifting base requires LiftingParams")
-        return lambda x: lifting_analysis(x, lifting), lambda c, d: lifting_synthesis(c, d, lifting)
-    if base == "lazy":
-        return (
-            lambda x: lifting_analysis(x, LAZY_PARAMS),
-            lambda c, d: lifting_synthesis(c, d, LAZY_PARAMS),
-        )
-    return haar_analysis, haar_synthesis
+    if base == "haar":
+        return haar_analysis, haar_synthesis
+    params = LAZY_PARAMS if base == "lazy" else lifting
+    if params is None:
+        raise ValueError("lifting base requires LiftingParams")
+    return lambda x: lifting_analysis(x, params), lambda c, d: lifting_synthesis(c, d, params)
 
 
 def cascade_analysis(x: Signal, base: str, levels: int, lifting: LiftingParams | None = None):

@@ -4,6 +4,7 @@ Each result keeps the README rate and length contract: M*K samples per
 channel ((K-1)*S + L for transposed), the channel count, and rate M*fs.
 """
 
+import numpy as np
 import pytest
 
 from upsample_audit import cli
@@ -45,3 +46,11 @@ def test_upsample_layer_keeps_the_contract(kind, stereo, tmp_path, capsys):
     y = read_wav(out)
     assert (y.channels, y.num_samples, y.sample_rate_hz) == (2, _expected_samples(kind), M * FS)
     assert f'"out_sample_rate_hz": {M * FS}' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_negative_zero_comes_out_as_positive_zero(kind):
+    # Every kind's FIR sums each output sample from +0.0, as np.convolve does.
+    x = Signal(np.full((2, K), -0.0), FS)
+    y = apply(UpsamplerSpec(kind=kind, factor=M, **NEEDS.get(kind, ({}, []))[0]), x)
+    assert not np.signbit(y.data).any()

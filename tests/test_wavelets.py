@@ -253,6 +253,23 @@ class TestCascade:
         assert y.num_samples == (402 if padded else 404)
         np.testing.assert_array_equal(y.data, expected.data)
 
+    @pytest.mark.parametrize("base", ["lazy", "haar", "lifting"])
+    @pytest.mark.parametrize("k", [1, 2, 9, 30, 201])
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_apply_is_synthesis_over_zero_detail_bands(self, base, k, padded, factor):
+        # Bit for bit: the FIR per level rounds as the synthesis steps do.
+        rng = np.random.Generator(np.random.Philox(k + 7 * factor))
+        p, u, a = rng.uniform(-2.0, 2.0, 3)
+        lifting = LiftingParams(p, u, np.copysign(0.25 + abs(a), a)) if base == "lifting" else None
+        x = Signal(rng.uniform(-1.0, 1.0, (2, k)), 4000, padded)
+        y = apply(UpsamplerSpec(kind=f"wavelet-{base}", factor=factor, lifting=lifting), x)
+        levels = 1 if factor == 2 else 2
+        zeros = [Signal(np.zeros(shape), rate) for shape, rate in detail_shapes(x, levels)]
+        expected = cascade_synthesis(x, zeros, base, lifting)
+        assert (y.data.shape, y.sample_rate_hz, y.padded) == (expected.data.shape, expected.sample_rate_hz, False)
+        assert np.array_equal(y.data, expected.data)
+
     def test_level_validation(self):
         x = white_noise(64, 8000, 0)
         with pytest.raises(ValueError, match="1 or 2"):
