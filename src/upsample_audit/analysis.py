@@ -7,7 +7,10 @@ frames in blocks of about BLOCK_BYTES, and each consumer writes or sums
 one block at a time, so besides its result an analysis holds one block's
 temporaries however long the signal is. The per-bin sums carry their
 running total as the first row of the next block's reduction, so they
-equal one sum over all frames bit for bit.
+equal one sum over all frames bit for bit. spectrogram_and_average gives
+analyze both views from one pass when the Hann hop divides window/2: the
+frames avg_spectrum would take are a subset of the spectrogram's, summed
+as they stream past.
 
 * avg_spectrum averages per-frame STFT magnitudes (Hann, 50% overlap).
   It feeds the artifact metrics (tonal prominence, band attenuation),
@@ -206,6 +209,42 @@ def avg_spectrum(x: Signal, window_size: int = 512) -> AveragedSpectrum:
         raise ValueError(f"need at least 16 frames for a stable average, got {frames}")
     db = _to_db(_sum_frames(mags for _, mags in blocks) / frames / w.sum())
     return AveragedSpectrum(_rfft_freqs(x.sample_rate_hz, window_size), db, x.sample_rate_hz, frames)
+
+
+def spectrogram_and_average(
+    x: Signal, window_size: int = 512, hop: int = 128, window: str = "hann"
+) -> tuple:
+    """(spectrogram(x, window_size, hop, window), avg_spectrum(x, window_size)) from one STFT.
+
+    With the Hann window and a hop that divides window_size/2, every
+    avg_spectrum frame (hop window_size/2) is also a spectrogram frame, so
+    one pass writes the spectrogram and sums every (window_size/2 // hop)-th
+    frame; the blocks of frames reach _sum_frames in frame order, so both
+    arrays equal the two separate calls bit for bit. Any other pairing makes
+    the two calls. Errors are avg_spectrum's first, then spectrogram's.
+    """
+    window_size = int(window_size)
+    hop = int(hop)
+    if window != "hann" or hop < 1 or (window_size // 2) % hop:
+        spectrum = avg_spectrum(x, window_size)
+        return spectrogram(x, window_size, hop, window), spectrum
+    w, frames, blocks = _stft(_mixdown(x), window_size, hop)
+    step = window_size // 2 // hop
+    averaged = (frames - 1) // step + 1
+    if averaged < 16:
+        raise ValueError(f"need at least 16 frames for a stable average, got {averaged}")
+    db = np.empty((frames, window_size // 2 + 1))
+
+    def kept_frames():
+        for rows, mags in blocks:
+            db[rows] = _to_db(mags / w.sum())
+            yield mags[-rows.start % step :: step]
+
+    mean_db = _to_db(_sum_frames(kept_frames()) / averaged / w.sum())
+    return (
+        Spectrogram(frozen(db), x.sample_rate_hz, window_size, hop, window),
+        AveragedSpectrum(_rfft_freqs(x.sample_rate_hz, window_size), mean_db, x.sample_rate_hz, averaged),
+    )
 
 
 def average_spectra(spectra) -> AveragedSpectrum:

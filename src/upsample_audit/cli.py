@@ -141,8 +141,66 @@ def cmd_upsample(args) -> int:
 # analyze
 
 
+def _ascii_words(text: str) -> np.ndarray:
+    """Consecutive 4-character groups of an ASCII string as uint32 words."""
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint32)
+
+
+# Four-byte pieces of "%.6f" text for |x| < 1000, so each value is three
+# table words: sign and integer part right-aligned behind NUL padding
+# (indexed by integer part + 1000 if negative), ".ddd", and "ddd" followed
+# by the separator.
+_CSV_WHOLE = _ascii_words("".join(f"{sign}{i}".rjust(4, "\0") for sign in ("", "-") for i in range(1000)))
+_CSV_POINT = _ascii_words("".join(f".{i:03d}" for i in range(1000)))
+_CSV_COMMA = _ascii_words("".join(f"{i:03d}," for i in range(1000)))
+_CSV_NEWLINE = _ascii_words("".join(f"{i:03d}\n" for i in range(1000)))
+
+
+def _csv_text(block: np.ndarray) -> np.ndarray:
+    """The rows of `block` as "%.6f" text joined by "," and ended by "\n", as ASCII bytes.
+
+    Each value is rounded to round(|x|·1e6) micro-units and written as three
+    table words, whose NUL padding is then dropped. float64 holds every
+    half-integer below 2^52, so the rounded product |x|·1e6 stays on the
+    exact product's side of each rounding boundary unless it lands on one;
+    there "%.6f" gives the digits. A block holding a value that may round
+    to 1000 or more (|x| >= 999.999999, or not finite) is formatted by "%"
+    throughout.
+    """
+    values = block.ravel()
+    scaled = np.abs(values)
+    if not scaled.max() < 999.999999:
+        return np.frombuffer(
+            "".join(",".join("%.6f" % v for v in row) + "\n" for row in block).encode("ascii"), dtype=np.uint8
+        )
+    scaled *= 1e6
+    units = np.rint(scaled)
+    ties = np.flatnonzero(np.abs(scaled - units) == 0.5)
+    units = units.astype(np.int32)
+    for i in ties:
+        units[i] = int(("%.6f" % abs(values[i])).replace(".", ""))
+    whole, frac = np.divmod(units, 1_000_000)
+    np.add(whole, 1000, out=whole, where=np.signbit(values))
+    high, low = np.divmod(frac, 1000)
+    words = np.empty((values.size, 3), dtype=np.uint32)
+    words[:, 0] = _CSV_WHOLE[whole]
+    words[:, 1] = _CSV_POINT[high]
+    words[:, 2] = _CSV_COMMA[low]
+    words.reshape(len(block), -1, 3)[:, -1, 2] = _CSV_NEWLINE[low.reshape(len(block), -1)[:, -1]]
+    text = words.view(np.uint8).reshape(-1)
+    return text[text != 0]
+
+
 def _write_csv(path, matrix: np.ndarray) -> None:
-    np.savetxt(path, matrix, fmt="%.6f", delimiter=",", newline="\n")
+    """Write `matrix` byte for byte as np.savetxt(path, matrix, fmt="%.6f", delimiter=",",
+    newline="\n") does, formatting one block of frames at a time.
+
+    Formatting a value takes about 64 bytes of temporaries, so a block's
+    formatting holds about BLOCK_BYTES however large the matrix is.
+    """
+    with open(path, "wb") as fh:
+        for rows in sig.frame_blocks(len(matrix), 64 * matrix.shape[1]):
+            fh.write(_csv_text(matrix[rows]))
 
 
 def _gray_levels(db: np.ndarray) -> np.ndarray:
@@ -176,8 +234,10 @@ def cmd_analyze(args) -> int:
     _require_finite(args, "--threshold-db")
     signal = sig.read_wav(getattr(args, "in"))
     artifacts = None
-    if args.fs_in is not None:
-        spectrum = ana.avg_spectrum(signal, args.stft_size)
+    if args.fs_in is None:
+        spect = ana.spectrogram(signal, args.stft_size, args.hop, args.window)
+    else:
+        spect, spectrum = ana.spectrogram_and_average(signal, args.stft_size, args.hop, args.window)
         report = ana.artifact_report(
             spectrum, args.fs_in, args.factor, threshold_db=args.threshold_db
         )
@@ -192,7 +252,6 @@ def cmd_analyze(args) -> int:
             "filtering_detected": bool(report.filtering_detected),
         }
 
-    spect = ana.spectrogram(signal, args.stft_size, args.hop, args.window)
     if args.csv:
         _write_csv(args.csv, spect.magnitudes_db)
     if args.pgm:

@@ -10,6 +10,7 @@ WAV I/O converts at the boundary.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -210,46 +211,57 @@ def read_wav(path) -> Signal:
 
     Accepts PCM 16-bit and IEEE float 32-bit, mono or stereo. Unknown
     chunks are skipped. Raises ValueError on malformed headers or
-    unsupported codecs.
+    unsupported codecs. Only chunk headers are read while parsing; the data
+    chunk is then read one block of frames at a time straight into the
+    signal's (channels, samples) array, so besides the signal the reader
+    holds one block of file bytes.
     """
     with open(path, "rb") as fh:
-        raw = memoryview(fh.read())
-    if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise ValueError(f"{path}: not a RIFF/WAVE file")
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise ValueError(f"{path}: not a RIFF/WAVE file")
 
-    fmt_info = None
-    payload = None
-    pos = 12
-    while pos + 8 <= len(raw):
-        cid, size = struct.unpack_from("<4sI", raw, pos)
-        body = raw[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            raise ValueError(f"{path}: truncated {cid.decode('latin1')!r} chunk")
-        if cid == b"fmt ":
-            if size < 16:
-                raise ValueError(f"{path}: fmt chunk too short")
-            fmt_info = struct.unpack_from("<HHIIHH", body, 0)
-        elif cid == b"data":
-            payload = body
-        pos += 8 + size + (size & 1)
+        fmt_info = None
+        payload = None  # (offset, size) of the data chunk
+        pos = 12
+        while pos + 8 <= file_size:
+            fh.seek(pos)
+            cid, size = struct.unpack("<4sI", fh.read(8))
+            if pos + 8 + size > file_size:
+                raise ValueError(f"{path}: truncated {cid.decode('latin1')!r} chunk")
+            if cid == b"fmt ":
+                if size < 16:
+                    raise ValueError(f"{path}: fmt chunk too short")
+                fmt_info = struct.unpack("<HHIIHH", fh.read(16))
+            elif cid == b"data":
+                payload = (pos + 8, size)
+            pos += 8 + size + (size & 1)
 
-    if fmt_info is None or payload is None:
-        raise ValueError(f"{path}: missing fmt or data chunk")
-    audio_format, ch, rate, _byte_rate, _block_align, bits = fmt_info
-    if ch not in (1, 2):
-        raise ValueError(f"{path}: only mono and stereo are supported, got {ch} channels")
-    if (audio_format, bits) == (1, 16):
-        flat = np.frombuffer(payload, dtype="<i2")
-    elif (audio_format, bits) == (3, 32):
-        flat = np.frombuffer(payload, dtype="<f4")
-    else:
-        raise ValueError(f"{path}: unsupported codec (format={audio_format}, bits={bits})")
-    if flat.size == 0 or flat.size % ch:
-        raise ValueError(f"{path}: data chunk size does not match the channel count")
-    # One conversion, straight from the file's interleaved frames into channel rows.
-    data = np.empty((ch, flat.size // ch))
-    if bits == 16:
-        np.divide(flat.reshape(-1, ch).T, _PCM16_SCALE, out=data)
-    else:
-        data[...] = flat.reshape(-1, ch).T
+        if fmt_info is None or payload is None:
+            raise ValueError(f"{path}: missing fmt or data chunk")
+        audio_format, ch, rate, _byte_rate, _block_align, bits = fmt_info
+        if ch not in (1, 2):
+            raise ValueError(f"{path}: only mono and stereo are supported, got {ch} channels")
+        if (audio_format, bits) == (1, 16):
+            dtype = np.dtype("<i2")
+        elif (audio_format, bits) == (3, 32):
+            dtype = np.dtype("<f4")
+        else:
+            raise ValueError(f"{path}: unsupported codec (format={audio_format}, bits={bits})")
+        offset, size = payload
+        if size % dtype.itemsize:
+            raise ValueError("buffer size must be a multiple of element size")  # as np.frombuffer says
+        count = size // dtype.itemsize
+        if count == 0 or count % ch:
+            raise ValueError(f"{path}: data chunk size does not match the channel count")
+        # One conversion per block, straight from the file's interleaved frames into channel rows.
+        data = np.empty((ch, count // ch))
+        fh.seek(offset)
+        for cols in frame_blocks(data.shape[1], ch * dtype.itemsize):
+            frames = np.frombuffer(fh.read(ch * dtype.itemsize * (cols.stop - cols.start)), dtype=dtype)
+            if bits == 16:
+                np.divide(frames.reshape(-1, ch).T, _PCM16_SCALE, out=data[:, cols])
+            else:
+                data[:, cols] = frames.reshape(-1, ch).T
     return Signal(frozen(data), rate)

@@ -175,3 +175,15 @@ class TestMemoryBounds:
             sig.write_wav(path, stereo_out, fmt)
         back, peak = _traced_peak(sig.read_wav, path)
         assert peak < 1.75 * back.data.nbytes
+
+    @pytest.mark.parametrize("fmt", ["float32", "pcm16"])
+    def test_read_wav_holds_one_block_of_file_bytes(self, tmp_path, stereo_out, fmt, monkeypatch):
+        path = tmp_path / "x.wav"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sig.write_wav(path, stereo_out, fmt)
+        monkeypatch.setattr(sig, "BLOCK_BYTES", 1 << 16)
+        back, peak = _traced_peak(sig.read_wav, path)
+        np.testing.assert_array_equal(back.data, sig.read_wav(path).data)
+        # The signal, Signal's boolean finiteness scan (1/8 of it) and one block.
+        assert peak < 1.125 * back.data.nbytes + 4 * sig.BLOCK_BYTES

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from upsample_audit import analysis as ana
-from upsample_audit import cli
+from upsample_audit import cli, signals
 from upsample_audit.signals import Signal, white_noise
 from upsample_audit.upsamplers import UpsamplerSpec, apply
 
@@ -77,6 +77,81 @@ def test_measure_response_matches_one_shot(frames):
     _assert_identical(response.magnitude_db, db - db[0])
 
 
+ONE_PASS_HOPS = (1, 2, 64, 128, 256, 100)  # 100 does not divide 256: the two-call fallback
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("window", ["hann", "rect"])
+@pytest.mark.parametrize("hop", ONE_PASS_HOPS)
+def test_one_pass_matches_the_two_calls(channels, window, hop):
+    # Enough frames at both hops for several blocks, and a length that is no
+    # whole number of hops past the first frame.
+    frames = max(2 * BLOCK + 300, 40 * WINDOW // hop)
+    x = _signal(channels, frames, hop, seed=hop)
+    x = Signal(x.data[:, : x.num_samples - hop // 2], x.sample_rate_hz)
+    view, spectrum = ana.spectrogram_and_average(x, WINDOW, hop, window)
+    want_view = ana.spectrogram(x, WINDOW, hop, window)
+    want = ana.avg_spectrum(x, WINDOW)
+    _assert_identical(view.magnitudes_db, want_view.magnitudes_db)
+    assert (view.sample_rate_hz, view.window_size, view.hop, view.window_kind) == (
+        want_view.sample_rate_hz, WINDOW, hop, window)
+    _assert_identical(spectrum.magnitude_db, want.magnitude_db)
+    _assert_identical(spectrum.freqs_hz, want.freqs_hz)
+    assert (spectrum.sample_rate_hz, spectrum.num_frames) == (want.sample_rate_hz, want.num_frames)
+
+
+@pytest.mark.parametrize("frames_per_block", [1, 3, 7, 200])
+@pytest.mark.parametrize("hop", [2, 64])
+def test_one_pass_with_blocks_that_split_the_stride(monkeypatch, frames_per_block, hop):
+    # Blocks whose starts are no multiple of the avg_spectrum stride
+    # (WINDOW/2 // hop frames), and blocks that hold no averaged frame at all.
+    monkeypatch.setattr(signals, "BLOCK_BYTES", frames_per_block * 8 * WINDOW)
+    x = _signal(2, 20 * WINDOW // (2 * hop) + 5, hop, seed=frames_per_block)
+    view, spectrum = ana.spectrogram_and_average(x, WINDOW, hop)
+    _assert_identical(view.magnitudes_db, ana.spectrogram(x, WINDOW, hop).magnitudes_db)
+    _assert_identical(spectrum.magnitude_db, ana.avg_spectrum(x, WINDOW).magnitude_db)
+
+
+def _error(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def _two_calls(x, window_size, hop, window="hann"):
+    ana.avg_spectrum(x, window_size)
+    ana.spectrogram(x, window_size, hop, window)
+
+
+@pytest.mark.parametrize(
+    "samples, window_size, hop",
+    [
+        (WINDOW + 14 * WINDOW // 2, WINDOW, 128),  # 15 averaged frames
+        (WINDOW + 14 * WINDOW // 2, WINDOW, 100),
+        (8192, WINDOW, 0),
+        (8192, WINDOW, -128),
+        (8192, WINDOW, WINDOW + 1),
+        (8192, 500, 125),
+        (8192, 2, 1),
+        (100, WINDOW, 128),
+    ],
+)
+def test_one_pass_refuses_as_the_two_calls_do(samples, window_size, hop):
+    x = _signal(1, 1, 1, seed=samples)
+    x = Signal(np.resize(x.data[0], samples), 32000)
+    want = _error(_two_calls, x, window_size, hop)
+    assert _error(ana.spectrogram_and_average, x, window_size, hop) == want
+
+
+@pytest.mark.parametrize("hop", [128, 100])
+def test_one_pass_refuses_cancelling_channels(hop):
+    left = _signal(1, 64, hop, seed=4).data[0]
+    x = Signal(np.stack([left, -left]), 32000)
+    want = _error(_two_calls, x, WINDOW, hop)
+    assert "cancel" in want
+    assert _error(ana.spectrogram_and_average, x, WINDOW, hop) == want
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -100,3 +175,16 @@ def test_pgm_export_peak_stays_near_its_image(long_mono, tmp_path):
     view = ana.spectrogram(long_mono)
     _, peak = _traced_peak(cli._write_pgm, tmp_path / "s.pgm", view)
     assert peak < 3 * view.num_frames * view.num_bins
+
+
+def test_one_pass_peak_stays_near_its_spectrogram(long_mono):
+    (view, _), peak = _traced_peak(ana.spectrogram_and_average, long_mono)
+    assert peak < 1.5 * view.magnitudes_db.nbytes
+
+
+def test_csv_export_peak_stays_near_one_block(long_mono, tmp_path):
+    view = ana.spectrogram(long_mono)
+    path = tmp_path / "s.csv"
+    _, peak = _traced_peak(cli._write_csv, path, view.magnitudes_db)
+    assert peak < 2 * ana.BLOCK_BYTES
+    assert path.stat().st_size > 8 * ana.BLOCK_BYTES  # so the whole text was never held
