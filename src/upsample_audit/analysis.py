@@ -55,11 +55,11 @@ def _stft(samples: np.ndarray, window_size: int, hop: int, window: str = "hann")
         raise ValueError(f"hop must be in [1, window_size], got {hop}")
     if window not in _WINDOWS:
         raise ValueError(f"unknown window {window!r}, expected one of {tuple(_WINDOWS)}")
+    if len(samples) < window_size:  # before the window is built, so a huge window_size allocates nothing
+        raise ValueError(f"window of {window_size} samples exceeds signal length {len(samples)}")
     w = _WINDOWS[window](window_size)
     if not w.sum() > 0:
         raise ValueError(f"{window} window of {window_size} samples has no positive sum")
-    if len(samples) < window_size:
-        raise ValueError(f"window of {window_size} samples exceeds signal length {len(samples)}")
     frames = np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop]
     blocks = (
         (rows, np.abs(np.fft.rfft(frames[rows] * w, axis=1)))
@@ -164,17 +164,14 @@ def spectrogram(x: Signal, window_size: int = 512, hop: int = 128, window: str =
 
 
 def _freeze_grid(spectrum) -> None:
-    """Check a (freqs_hz, magnitude_db) pair and store read-only float64 copies."""
-    freqs = np.asarray(spectrum.freqs_hz, dtype=np.float64)
-    db = np.asarray(spectrum.magnitude_db, dtype=np.float64)
+    """Store a (freqs_hz, magnitude_db) pair read-only under Signal's ownership rule, and check it."""
+    freqs, db = readonly_float64(spectrum.freqs_hz), readonly_float64(spectrum.magnitude_db)
     if freqs.ndim != 1 or db.shape != freqs.shape:
         raise ValueError("frequency grid and magnitudes must be matching 1D arrays")
     if np.any(np.diff(freqs) <= 0):
         raise ValueError("frequency grid must be strictly ascending")
-    for name, arr in (("freqs_hz", freqs), ("magnitude_db", db)):
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(spectrum, name, arr)
+    object.__setattr__(spectrum, "freqs_hz", freqs)
+    object.__setattr__(spectrum, "magnitude_db", db)
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,7 @@ _PCM16_SCALE = 32767.0
 # RIFF sizes are 32-bit; the RIFF size counts the data chunk plus up to 48
 # bytes of "WAVE" tag and fmt, fact and data chunk headers.
 MAX_WAV_DATA_BYTES = 0xFFFFFFFF - 48
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # float32's largest value plus half a step: rounds to inf
 
 
 def check_wav_size(samples: int, bytes_per_sample: int = 4) -> None:
@@ -159,29 +160,42 @@ def check_wav_size(samples: int, bytes_per_sample: int = 4) -> None:
         )
 
 
+def check_wav_rate(sample_rate_hz: int, frame_bytes: int = 4) -> None:
+    """Refuse a rate whose byte rate (rate x frame bytes, never below the rate) a 32-bit WAV field cannot hold."""
+    if sample_rate_hz * frame_bytes > 0xFFFFFFFF:
+        raise ValueError(
+            f"sample rate {sample_rate_hz} Hz at {frame_bytes} bytes per frame exceeds the WAV header's 32-bit byte rate"
+        )
+
+
 def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
     """Write a Signal as a RIFF/WAVE file.
 
     float32 is lossless for float32-representable samples. pcm16 quantizes
     with symmetric scale 32767; samples outside [-1, 1] are saturated with
-    a warning. A data chunk over MAX_WAV_DATA_BYTES raises ValueError. The
-    samples are converted and written one block of frames at a time, so
-    the writer holds one block's bytes however long the signal is.
+    a warning. A data chunk over MAX_WAV_DATA_BYTES, a rate check_wav_rate
+    refuses, or a float32 sample that would round to infinity raises
+    ValueError before the file is opened. Samples are converted and written
+    one block of frames at a time, so the writer holds one block's bytes.
     """
     if fmt not in ("pcm16", "float32"):
         raise ValueError(f"unsupported format {fmt!r}, expected 'pcm16' or 'float32'")
     if signal.channels > 2:
         raise ValueError(f"only mono and stereo are supported, got {signal.channels} channels")
     bits = 16 if fmt == "pcm16" else 32
-    check_wav_size(signal.data.size, bits // 8)
-    # Samples are finite, so max/min find |x| > 1 without a full-size temporary.
-    saturate = fmt == "pcm16" and (signal.data.max() > 1.0 or signal.data.min() < -1.0)
-    if saturate:
-        warnings.warn("samples outside [-1, 1] are saturated in pcm16 export")
-
     ch = signal.channels
     block_align = ch * bits // 8
     data_bytes = signal.data.size * bits // 8
+    check_wav_size(signal.data.size, bits // 8)
+    check_wav_rate(signal.sample_rate_hz, block_align)
+    # Samples are finite, so max/min find the peak |x| without a full-size temporary.
+    peak = max(signal.data.max(), -signal.data.min())
+    if fmt == "float32" and peak >= _FLOAT32_OVERFLOW:
+        raise ValueError(f"a sample of magnitude {peak:g} is beyond float32's range")
+    saturate = fmt == "pcm16" and peak > 1.0
+    if saturate:
+        warnings.warn("samples outside [-1, 1] are saturated in pcm16 export")
+
     header = struct.pack(
         "<4sIHHIIHH", b"fmt ", 16, 1 if fmt == "pcm16" else 3, ch,
         signal.sample_rate_hz, signal.sample_rate_hz * block_align, block_align, bits,

@@ -1,11 +1,15 @@
-"""One filter table for every layer kind, and apply(), the one entry point.
+"""One filter table for every layer kind, the kernel that runs it, and apply().
 
 Every layer kind is zero insertion followed by one FIR filter h: the
 inserted zeros make the spectral replicas, and h decides whether they
-survive as tonal lines or are attenuated. `_FILTERS` holds each kind's h
-and kept window; a wavelet kind runs one factor-2 level per cascade level,
-its detail band at zero, so only the base's synthesis lowpass is left.
-`apply`, `largest_array` and the dense convolutions all read the table.
+survive as tonal lines or are attenuated. `_polyphase` runs h without the
+zeros. `_FILTERS` holds each kind's h and kept window: [1] for stretch;
+the rectangular, triangular and windowed-sinc prototypes (DC gain M, so a
+constant input maps to itself); seeded random filters for transposed and
+subpixel; per wavelet cascade level, with the detail band at zero, the
+base's two-tap synthesis lowpass. `apply`, `largest_array` and the dense
+convolutions read the table. Overlap classification and the periodic
+shuffle, two more views of the convolution layers, close the module.
 """
 
 from __future__ import annotations
@@ -14,27 +18,102 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..signals import Signal, frozen
-from .convolution import _polyphase
-from .interpolation import _sinc_taps, rectangular_filter, sinc_filter, triangular_filter
+from ..signals import Signal, _rng, frozen
 from .wavelets import LiftingParams, WaveletFilters, cascade_analysis, cascade_synthesis
+
+NO_OVERLAP = "no-overlap"
+FULL_OVERLAP = "full-overlap"
+PARTIAL_OVERLAP = "partial-overlap"
+
+
+def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int) -> np.ndarray:
+    """Rows of x (C, K), zero-inserted by m and filtered by h, cropped to [start, start+length).
+
+    The full output has M*(K+T-1) samples per row, T = ceil(len(h)/M): with
+    the branches b_j = h[j::M], y[c, qM+j] = (x[c] * b_j)[q]. Each branch's
+    convolution goes straight into the output samples it owns, every M-th
+    from its first one inside the window, so the result is a fresh
+    read-only (C, length) array that Signal takes over. All-zero branches
+    (M-1 of stretch's M) are left at zero instead of convolved. Every
+    sample is summed from +0.0, so a -0.0 input sample comes out +0.0.
+    """
+    branches = np.pad(h, (0, -len(h) % m)).reshape(-1, m).T
+    out = np.zeros((x.shape[0], length))
+    for j in np.flatnonzero(branches.any(axis=1)):
+        first = -(-(start - j) // m)  # first q with qM + j >= start
+        n0 = first * m + j - start
+        count = len(range(n0, length, m))
+        for c in range(x.shape[0]):
+            out[c, n0::m] = np.convolve(x[c], branches[j])[first : first + count]
+    return frozen(out)
+
+
+def _check_factor(m: int) -> int:
+    m = int(m)
+    if m < 2:
+        raise ValueError(f"upsampling factor must be at least 2, got {m}")
+    return m
+
+
+def rectangular_filter(m: int) -> np.ndarray:
+    """M ones: the nearest-neighbor (sample-and-hold) kernel."""
+    return np.ones(_check_factor(m))
+
+
+def triangular_filter(m: int) -> np.ndarray:
+    """Centered triangle of length 2M-1, t[i] = 1 - |i-(M-1)|/M.
+
+    Equal to the normalized self-convolution of the rectangular filter, so
+    its magnitude response is the rectangular response squared.
+    """
+    m = _check_factor(m)
+    i = np.arange(2 * m - 1)
+    return 1.0 - np.abs(i - (m - 1)) / m
+
+
+def _sinc_taps(m: int, taps: int | None) -> int:
+    """The sinc tap count for factor M: odd and at least 4M+1, default 8M+1."""
+    taps = 8 * m + 1 if taps is None else int(taps)
+    if taps % 2 == 0:
+        raise ValueError(f"sinc tap count must be odd, got {taps}")
+    if taps < 4 * m + 1:
+        raise ValueError(f"sinc tap count must be at least 4M+1={4 * m + 1}, got {taps}")
+    return taps
+
+
+def sinc_filter(m: int, taps: int | None = None) -> np.ndarray:
+    """Hann-windowed sinc with cutoff pi/M and DC gain M.
+
+    taps must be odd and at least 4M+1; the default is 8M+1. After
+    windowing, each polyphase branch h[j::M] is normalized to sum exactly
+    to 1. This keeps the DC gain at M while restoring the exact response
+    nulls at multiples of the input rate that the window perturbs; without
+    it a constant input picks up faint tonal residue at those frequencies.
+    """
+    m = _check_factor(m)
+    taps = _sinc_taps(m, taps)
+    center = (taps - 1) / 2
+    h = np.sinc((np.arange(taps) - center) / m) * np.hanning(taps)
+    for j in range(m):
+        h[j::m] /= h[j::m].sum()
+    return h
 
 
 # Windows of the full output, (start, kept length), for factor M, n = len(h)
-# taps, K input samples and the pad to drop (a wavelet cascade's first level).
-def _upsampled(m, n, k, pad):
-    return 0, m * k - pad
+# taps and K input samples.
+def _upsampled(m, n, k):
+    return 0, m * k
 
 
-def _centred(m, n, k, pad):
+def _centred(m, n, k):
     return (n - 1) // 2, m * k
 
 
-def _full(m, n, k, pad):
+def _full(m, n, k):
     return 0, (k - 1) * m + n
 
 
-def _same(m, n, k, pad):  # each of the M interleaved sub-filters of n/M taps same-padded
+def _same(m, n, k):  # each of the M interleaved sub-filters of n/M taps same-padded
     return m * ((n // m - 1) // 2), m * k
 
 
@@ -54,7 +133,7 @@ _FILTERS = {
     "wavelet-lifting": (lambda s: 2, lambda s: np.array([1.0, s.lifting.p]), _upsampled, lambda s: s.lifting.a),
 }
 KINDS = tuple(_FILTERS)
-WAVELET_KINDS = ("wavelet-lazy", "wavelet-haar", "wavelet-lifting")
+WAVELET_KINDS = tuple(kind for kind in KINDS if kind.startswith("wavelet-"))
 
 
 @dataclass(frozen=True)
@@ -79,9 +158,7 @@ class UpsamplerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}, expected one of {KINDS}")
-        object.__setattr__(self, "factor", int(self.factor))
-        if self.factor < 2:
-            raise ValueError(f"upsampling factor must be at least 2, got {self.factor}")
+        object.__setattr__(self, "factor", _check_factor(self.factor))
         if self.kind in WAVELET_KINDS and self.factor not in (2, 4):
             raise ValueError(f"wavelet layers support factor 2 or 4, got {self.factor}")
         if self.kind == "transposed":
@@ -133,24 +210,23 @@ def random_filters(spec: UpsamplerSpec) -> np.ndarray:
         shape = (spec.factor, 1, spec.filter_length)
     else:
         raise ValueError(f"random filters are defined for transposed and subpixel layers, not {spec.kind!r}")
-    rng = np.random.Generator(np.random.Philox(spec.seed))
     scale = 1.0 / np.sqrt(spec.filter_length)
-    return (2.0 * rng.random(shape) - 1.0) * scale
+    return (2.0 * _rng(spec.seed).random(shape) - 1.0) * scale
 
 
 def layer_filter(spec: UpsamplerSpec, num_samples: int, padded: bool = False):
     """Yield the levels apply runs, in order: (M, h, start, kept length, input divisor or None) each.
 
-    Each level's input is the previous level's output; a padded input
-    drops its pad at the first level only.
+    Each level's input is the previous level's output; a padded input to a
+    wavelet cascade drops its pad at the first level only, as synthesis does.
     """
     _, fir, window, divisor = _FILTERS[spec.kind]
-    wavelet = spec.kind in WAVELET_KINDS  # factor-2 levels; only wavelet synthesis drops a pad
-    h, k, pad = fir(spec), num_samples, int(padded and wavelet)
-    for m in (2,) * spec.wavelet_levels if wavelet else (spec.factor,):
-        start, k = window(m, len(h), k, pad)
+    wavelet = spec.kind in WAVELET_KINDS  # factor-2 levels
+    h, k = fir(spec), num_samples
+    for level, m in enumerate((2,) * spec.wavelet_levels if wavelet else (spec.factor,)):
+        start, length = window(m, len(h), k)
+        k = length - int(wavelet and padded and level == 0)
         yield m, h, start, k, divisor and divisor(spec)
-        pad = 0
 
 
 def largest_array(spec: UpsamplerSpec, channels: int, num_samples: int) -> int:
@@ -165,7 +241,7 @@ def largest_array(spec: UpsamplerSpec, channels: int, num_samples: int) -> int:
     """
     taps, _, window, _ = _FILTERS[spec.kind]
     m, n = spec.factor, taps(spec)
-    return channels * max(window(m, n, num_samples, 0)[1], m * (num_samples + -(-n // m) - 1))
+    return channels * max(window(m, n, num_samples)[1], m * (num_samples + -(-n // m) - 1))
 
 
 def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
@@ -200,7 +276,7 @@ def _check_filters(filters: np.ndarray, in_channels: int) -> np.ndarray:
 def _dense(kind: str, x: Signal, hs: np.ndarray, m: int) -> Signal:
     """Output row o sums input row c through hs[o, c], zero-inserted by m, in kind's window."""
     _, _, window, _ = _FILTERS[kind]
-    start, length = window(m, hs.shape[2], x.num_samples, 0)
+    start, length = window(m, hs.shape[2], x.num_samples)
     out = np.zeros((hs.shape[0], length))
     for o in range(hs.shape[0]):
         for c in range(x.channels):
@@ -243,3 +319,52 @@ def subpixel_conv(x: Signal, filters: np.ndarray, m: int) -> Signal:
         raise ValueError(f"filter output-channel count {w.shape[0]} not divisible by factor {m}")
     o, c, taps = w.shape
     return _dense("subpixel", x, w.reshape(o // m, m, c, taps).transpose(0, 2, 3, 1).reshape(o // m, c, -1), m)
+
+
+def classify_overlap(length: int, stride: int) -> str:
+    """Overlap regime of a transposed convolution.
+
+    no-overlap when length == stride; full-overlap when length is a larger
+    multiple of the stride; partial-overlap otherwise (consecutive kernel
+    copies overlap on some output samples but not uniformly).
+    """
+    length, stride = int(length), int(stride)
+    if length < 1 or stride < 1:
+        raise ValueError(f"length and stride must be positive, got ({length}, {stride})")
+    if length == stride:
+        return NO_OVERLAP
+    if length > stride and length % stride == 0:
+        return FULL_OVERLAP
+    return PARTIAL_OVERLAP
+
+
+def periodic_shuffle(z: Signal, m: int) -> Signal:
+    """Interleave channel groups into time: y_c[kM+j] = z_{cM+j}[k].
+
+    Bijective; m=1 is the identity. The channel count must be divisible
+    by m.
+    """
+    m = int(m)
+    if m < 1:
+        raise ValueError(f"shuffle factor must be positive, got {m}")
+    if z.channels % m:
+        raise ValueError(f"channel count {z.channels} not divisible by factor {m}")
+    c_out = z.channels // m
+    data = z.data.reshape(c_out, m, z.num_samples)
+    out = data.transpose(0, 2, 1).reshape(c_out, z.num_samples * m)
+    return Signal(out, m * z.sample_rate_hz)
+
+
+def periodic_unshuffle(y: Signal, m: int) -> Signal:
+    """Inverse of periodic_shuffle: split time into m interleaved channels."""
+    m = int(m)
+    if m < 1:
+        raise ValueError(f"shuffle factor must be positive, got {m}")
+    if y.num_samples % m:
+        raise ValueError(f"time length {y.num_samples} not divisible by factor {m}")
+    if y.sample_rate_hz % m:
+        raise ValueError(f"sample rate {y.sample_rate_hz} not divisible by factor {m}")
+    steps = y.num_samples // m
+    data = y.data.reshape(y.channels, steps, m)
+    out = data.transpose(0, 2, 1).reshape(y.channels * m, steps)
+    return Signal(out, y.sample_rate_hz // m)

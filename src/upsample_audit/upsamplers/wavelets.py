@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..signals import Signal, frozen
+from ..signals import Signal, frozen, readonly_float64
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class WaveletFilters:
-    """Analysis pair (la, ha) and the synthesis pair (ls, hs) derived by time reversal."""
+    """Analysis pair (la, ha) and the synthesis pair (ls, hs) derived by time reversal, all read-only."""
 
     la: np.ndarray
     ha: np.ndarray
@@ -44,14 +44,11 @@ class WaveletFilters:
     hs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        la = np.asarray(self.la, dtype=np.float64)
-        ha = np.asarray(self.ha, dtype=np.float64)
+        la, ha = readonly_float64(self.la), readonly_float64(self.ha)
         if la.ndim != 1 or ha.ndim != 1 or la.size == 0 or ha.size == 0:
             raise ValueError("wavelet filters must be non-empty 1D sequences")
         for name, arr in (("la", la), ("ha", ha), ("ls", la[::-1]), ("hs", ha[::-1])):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly_float64(arr))
 
     @staticmethod
     def haar() -> "WaveletFilters":

@@ -92,6 +92,25 @@ class TestGenerate:
         ]
         assert not out.exists()
 
+    def test_rate_beyond_the_wav_header_is_refused(self, tmp_path):
+        out = tmp_path / "x.wav"
+        proc = run_cli("generate", "--kind", "ones", "--n", 10, "--fs", 5_000_000_000, "--out", out, expect=2)
+        assert proc.stderr.splitlines() == [
+            "error: sample rate 5000000000 Hz at 4 bytes per frame exceeds the WAV header's 32-bit byte rate"
+        ]
+        assert not out.exists()
+
+    def test_samples_beyond_float32_are_refused(self, tmp_path):
+        out = tmp_path / "x.wav"
+        proc = run_cli(
+            "generate", "--kind", "tone", "--n", 100, "--fs", 8000, "--f0", 100,
+            "--amplitude", 1e39, "--out", out,
+            expect=2,
+        )
+        assert len(proc.stderr.splitlines()) == 1
+        assert "beyond float32's range" in proc.stderr
+        assert not out.exists()
+
 
 class TestUpsample:
     def test_stretch_quadruples_the_rate(self, tmp_path):
@@ -231,6 +250,31 @@ class TestUpsample:
                 "--stride", "4", "--length", "9"]
         assert cli.main(argv) == 0
         assert read_wav(out).num_samples == 63 * 4 + 9
+
+    def test_output_rate_beyond_the_wav_header_is_refused_before_apply(self, tmp_path, monkeypatch, capsys):
+        src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 600_000_000)
+        out = tmp_path / "up.wav"
+        argv = ["upsample", "--in", src, "--out", out, "--layer", "stretch", "--factor", 8]
+        proc = run_cli(*argv, expect=2)
+        assert proc.stderr.splitlines() == [
+            "error: sample rate 4800000000 Hz at 4 bytes per frame exceeds the WAV header's 32-bit byte rate"
+        ]
+        assert not out.exists()
+        monkeypatch.setattr(cli, "apply", lambda spec, x: pytest.fail("apply ran before the rate check"))
+        assert cli.main(list(map(str, argv))) == 2
+        assert not out.exists()
+
+    def test_outputs_beyond_float32_are_refused(self, tmp_path):
+        src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 8000)
+        out = tmp_path / "up.wav"
+        proc = run_cli(
+            "upsample", "--in", src, "--out", out, "--layer", "wavelet-lifting", "--factor", 2,
+            "--P", 0, "--U", 0, "--A", 1e-300,
+            expect=2,
+        )
+        assert len(proc.stderr.splitlines()) == 1
+        assert "beyond float32's range" in proc.stderr
+        assert not out.exists()
 
     def test_wavelet_round_trip_refuses_odd_rates(self, tmp_path):
         src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 11025)

@@ -174,6 +174,42 @@ class TestWavRoundTrip:
         sig.write_wav(tmp_path / "x.wav", x, fmt="pcm16")
         assert sig.read_wav(tmp_path / "x.wav").num_samples == 64
 
+    @pytest.mark.parametrize(
+        "rate, channels, fmt",
+        [(2**32, 1, "pcm16"), (2**31, 1, "pcm16"), (2**30, 1, "float32"), (2**29, 2, "float32")],
+    )
+    def test_rate_beyond_the_header_fields_rejected(self, tmp_path, rate, channels, fmt):
+        x = sig.Signal(np.zeros((channels, 8)), rate)
+        with pytest.raises(ValueError, match=f"sample rate {rate} Hz at .* exceeds the WAV header"):
+            sig.write_wav(tmp_path / "x.wav", x, fmt=fmt)
+        assert not (tmp_path / "x.wav").exists()
+
+    def test_largest_rate_the_header_holds_round_trips(self, tmp_path):
+        rate = 0xFFFFFFFF // 2
+        sig.write_wav(tmp_path / "x.wav", sig.Signal(np.zeros(8), rate), fmt="pcm16")
+        assert sig.read_wav(tmp_path / "x.wav").sample_rate_hz == rate
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_samples_float32_rounds_to_infinity_rejected(self, tmp_path, sign):
+        overflow = 2.0**128 - 2.0**103  # float32 max plus half its last step
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float32(overflow))
+            assert np.float32(np.nextafter(overflow, 0.0)) == np.finfo(np.float32).max
+        for value in (overflow, 1e39, 1e300):
+            x = sig.Signal(np.array([0.0, sign * value, 0.5]), 8000)
+            with pytest.raises(ValueError, match="beyond float32's range"):
+                sig.write_wav(tmp_path / "x.wav", x)
+            assert not (tmp_path / "x.wav").exists()
+        edge = sig.Signal(np.array([0.0, sign * np.nextafter(overflow, 0.0)]), 8000)
+        sig.write_wav(tmp_path / "x.wav", edge)
+        assert sig.read_wav(tmp_path / "x.wav").data[0, 1] == sign * float(np.finfo(np.float32).max)
+
+    def test_pcm16_saturates_huge_samples_instead(self, tmp_path):
+        x = sig.Signal(np.array([1e39, -1e39]), 8000)
+        with pytest.warns(UserWarning, match="saturated"):
+            sig.write_wav(tmp_path / "x.wav", x, fmt="pcm16")
+        np.testing.assert_array_equal(sig.read_wav(tmp_path / "x.wav").data, [[1.0, -1.0]])
+
 
 class TestWavReader:
     def test_tiny_file_rejected(self, tmp_path):

@@ -182,6 +182,19 @@ def test_one_pass_peak_stays_near_its_spectrogram(long_mono):
     assert peak < 1.5 * view.magnitudes_db.nbytes
 
 
+@pytest.mark.parametrize("estimator", [ana.spectrogram, ana.avg_spectrum, ana.spectrogram_and_average])
+def test_short_signal_is_refused_before_the_window_is_built(estimator):
+    x = white_noise(1000, 32000, 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="window of 4194304 samples exceeds signal length 1000"):
+            estimator(x, 2**22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_csv_export_peak_stays_near_one_block(long_mono, tmp_path):
     view = ana.spectrogram(long_mono)
     path = tmp_path / "s.csv"
