@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import BLOCK_BYTES, Signal, frame_blocks, frozen, readonly_float64, white_noise
+from .signals import BLOCK_BYTES, Signal, _all_finite, frame_blocks, frozen, readonly_float64, white_noise
 from .upsamplers.config import WAVELET_KINDS, UpsamplerSpec, apply
 from .upsamplers.wavelets import LiftingParams, cascade_analysis, cascade_synthesis, detail_shapes
 
@@ -135,7 +135,7 @@ class Spectrogram:
             raise ValueError(
                 f"bin count {arr.shape[1]} does not match window size {self.window_size}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("spectrogram magnitudes must be finite")
         object.__setattr__(self, "magnitudes_db", arr)
 
@@ -307,7 +307,9 @@ def band_attenuation(spectrum: AveragedSpectrum, fs_in: int, factor: int) -> np.
     """Mean dB per replica-width band relative to band 0.
 
     Band b covers [b*fs_in/2, (b+1)*fs_in/2); the output Nyquist bin is
-    folded into the last band. The spectrum must span [0, factor*fs_in/2].
+    folded into the last band. The spectrum must span [0, factor*fs_in/2],
+    and every band must hold at least one bin: a band narrower than one
+    rFFT bin is refused, as its mean would be empty.
     """
     if factor < 2:
         raise ValueError(f"upsampling factor must be at least 2, got {factor}")
@@ -318,6 +320,11 @@ def band_attenuation(spectrum: AveragedSpectrum, fs_in: int, factor: int) -> np.
         )
     band_width = fs_in / 2.0
     band_idx = np.minimum((spectrum.freqs_hz // band_width).astype(int), factor - 1)
+    if np.bincount(band_idx, minlength=factor).min() == 0:
+        raise ValueError(
+            f"bands of fs_in/2 = {band_width:g} Hz are narrower than one rFFT bin "
+            f"({spectrum.freqs_hz[1] - spectrum.freqs_hz[0]:g} Hz)"
+        )
     means = np.array([spectrum.magnitude_db[band_idx == b].mean() for b in range(factor)])
     return means - means[0]
 

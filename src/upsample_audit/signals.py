@@ -54,6 +54,15 @@ def readonly_float64(data) -> np.ndarray:
     return data
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every value of arr is finite, read from its min and max.
+
+    NaN carries through both and +-inf shows up in one of them, so no
+    full-size boolean array is built. An empty array is finite.
+    """
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 @dataclass(frozen=True)
 class Signal:
     """A sampled waveform: one row of `data` per channel.
@@ -80,7 +89,7 @@ class Signal:
             raise ValueError(f"signal data must be 1D or 2D, got ndim={arr.ndim}")
         if arr.shape[1] == 0:
             raise ValueError("signal must contain at least one sample")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("signal samples must be finite")
         if int(self.sample_rate_hz) <= 0:
             raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")

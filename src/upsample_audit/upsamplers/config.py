@@ -26,25 +26,48 @@ FULL_OVERLAP = "full-overlap"
 PARTIAL_OVERLAP = "partial-overlap"
 
 
+# Output samples per tile of _polyphase: 256 KiB of float64, inside a core's L2.
+_TILE = 1 << 15
+
+
 def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int) -> np.ndarray:
     """Rows of x (C, K), zero-inserted by m and filtered by h, cropped to [start, start+length).
 
     The full output has M*(K+T-1) samples per row, T = ceil(len(h)/M): with
-    the branches b_j = h[j::M], y[c, qM+j] = (x[c] * b_j)[q]. Each branch's
-    convolution goes straight into the output samples it owns, every M-th
-    from its first one inside the window, so the result is a fresh
+    the branches b_j = h[j::M], y[c, qM+j] = (x[c] * b_j)[q]. Each row is
+    walked in tiles of about _TILE output samples, that is, of rows q of
+    that formula. For each tile every branch convolves only the input it
+    needs, x[c, q-T+1 ... q] over the tile's q, and writes every M-th sample
+    of the tile's slice of the output while it is in cache. Each slice is
+    at least T samples long, or the whole row when K < T, so np.convolve
+    never swaps its arguments where the whole-row call would not, and each
+    sample is the same dot product over the same memory as in one
+    whole-row call: the result is bit-identical to it. It is a fresh
     read-only (C, length) array that Signal takes over. All-zero branches
     (M-1 of stretch's M) are left at zero instead of convolved. Every
     sample is summed from +0.0, so a -0.0 input sample comes out +0.0.
     """
+    k = x.shape[1]
     branches = np.pad(h, (0, -len(h) % m)).reshape(-1, m).T
+    t = branches.shape[1]
+    # (j, b_j, first, stop): rows [first, stop) of y are the ones with qM + j in the window
+    live = [(j, branches[j], -(-(start - j) // m), -(-(start + length - j) // m))
+            for j in np.flatnonzero(branches.any(axis=1))]
     out = np.zeros((x.shape[0], length))
-    for j in np.flatnonzero(branches.any(axis=1)):
-        first = -(-(start - j) // m)  # first q with qM + j >= start
-        n0 = first * m + j - start
-        count = len(range(n0, length, m))
-        for c in range(x.shape[0]):
-            out[c, n0::m] = np.convolve(x[c], branches[j])[first : first + count]
+    q_lo = min((first for _, _, first, _ in live), default=0)
+    q_hi = max((stop for _, _, _, stop in live), default=0)
+    rows = max(1, _TILE // m if k >= t else q_hi - q_lo)  # a row shorter than T is convolved once
+    for c in range(x.shape[0]):
+        for q0 in range(q_lo, q_hi, rows):
+            for j, b, first, stop in live:
+                qa, qb = max(q0, first), min(q0 + rows, stop)
+                if qa >= qb:
+                    continue
+                lo, hi = max(0, qa - t + 1), min(k, qb)
+                if hi - lo < t:
+                    lo, hi = (0, k) if k < t else (min(lo, k - t), max(hi, t))
+                n0 = qa * m + j - start
+                out[c, n0 : n0 + (qb - qa) * m : m] = np.convolve(x[c, lo:hi], b)[qa - lo : qb - lo]
     return frozen(out)
 
 
@@ -234,10 +257,11 @@ def largest_array(spec: UpsamplerSpec, channels: int, num_samples: int) -> int:
 
     That is the larger of the output and C*M*(K+T-1) for T = ceil(len(h)/M)
     taps per branch, which bounds the branch filters (M*T taps) and the
-    K+T-1 samples np.convolve returns per branch. A wavelet cascade's
-    factor-2 levels stay within the factor-M bound. len(h) comes from the
-    filter table without building h, so a caller can refuse a size before
-    apply runs.
+    row np.convolve returns for one tile of _polyphase, never longer than
+    the whole row's K+T-1 samples. A wavelet cascade's factor-2
+    levels stay within the factor-M bound. len(h) comes from the filter
+    table without building h, so a caller can refuse a size before apply
+    runs.
     """
     taps, _, window, _ = _FILTERS[spec.kind]
     m, n = spec.factor, taps(spec)

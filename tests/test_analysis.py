@@ -234,6 +234,12 @@ class TestBandAttenuation:
         with pytest.raises(ValueError, match="spans"):
             ana.band_attenuation(_flat_spectrum(0.0, fs=8000), 8000, 4)
 
+    def test_bands_narrower_than_a_bin_are_refused(self):
+        spec = ana.avg_spectrum(white_noise(1 << 14, 8000, seed=1), window_size=512)
+        with pytest.raises(ValueError, match=r"^bands of fs_in/2 = 0\.5 Hz are narrower than one rFFT bin \(15\.625 Hz\)$"):
+            ana.band_attenuation(spec, 1, 8000)
+        assert ana.band_attenuation(spec, 32, 250).shape == (250,)  # 16 Hz bands each hold a bin
+
 
 class TestArtifactReport:
     def test_stretched_ones_read_as_tonal(self):

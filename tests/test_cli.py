@@ -413,6 +413,13 @@ class TestAnalyze:
         assert not report.exists() and not csv.exists()
 
 
+    def test_bands_narrower_than_a_bin_are_refused(self, tmp_path):
+        src = make_wav(tmp_path, "n.wav", "--kind", "noise", "--n", 16384, "--fs", 8000)
+        report = tmp_path / "r.json"
+        proc = run_cli("analyze", "--in", src, "--report", report, "--fs-in", 1, "--factor", 8000, expect=2)
+        assert proc.stderr.splitlines() == ["error: bands of fs_in/2 = 0.5 Hz are narrower than one rFFT bin (15.625 Hz)"]
+        assert not report.exists()
+
     def test_cancelling_channels_are_refused(self, tmp_path):
         src, report = tmp_path / "anti.wav", tmp_path / "r.json"
         left = sig.tone(32000, 32000, 3000.0)
