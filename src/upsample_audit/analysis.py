@@ -2,15 +2,16 @@
 
 One STFT front end (_stft: windowed frames of a mono mixdown, |rFFT| per
 frame) feeds spectrogram and two estimator families, which average its
-frames differently on purpose. The front end is blocked: it yields the
-frames in blocks of about BLOCK_BYTES, and each consumer writes or sums
-one block at a time, so besides its result an analysis holds one block's
-temporaries however long the signal is. The per-bin sums carry their
-running total as the first row of the next block's reduction, so they
-equal one sum over all frames bit for bit. spectrogram_and_average gives
-analyze both views from one pass when the Hann hop divides window/2: the
-frames avg_spectrum would take are a subset of the spectrogram's, summed
-as they stream past.
+frames differently on purpose. The front end streams: it takes mono
+samples in blocks of any size (a whole signal is one block, a WAV file
+read by analyze is many) and yields the frames in blocks of about
+BLOCK_BYTES, which each consumer writes or sums in turn, so besides its
+result an analysis holds a few blocks however long the signal is. The
+per-bin sums carry their running total as the first row of the next
+block's reduction, so they equal one sum over all frames bit for bit.
+spectrogram_and_average gives both views from one pass when the Hann hop
+divides window/2: the frames avg_spectrum would take are a subset of the
+spectrogram's, summed as they stream past.
 
 * avg_spectrum averages per-frame STFT magnitudes (Hann, 50% overlap).
   It feeds the artifact metrics (tonal prominence, band attenuation),
@@ -43,11 +44,14 @@ _MAG_FLOOR = 10.0 ** (DB_FLOOR / 20.0)
 
 _WINDOWS = {"hann": np.hanning, "rect": np.ones}
 
-def _stft(samples: np.ndarray, window_size: int, hop: int, window: str = "hann") -> tuple:
-    """Check the framing; return the window, the frame count and the blocks.
+def _stft(blocks, num_samples: int, window_size: int, hop: int, window: str = "hann") -> tuple:
+    """Check the framing of num_samples; return the window, the frame count and the blocks.
 
-    The blocks are (rows, |rFFT| of those windowed frames) pairs, in frame
-    order. The checks run at once; each block is computed when it is reached.
+    `blocks` holds the mono samples as consecutive 1-D arrays of any size (a
+    whole signal is one, sliced without a copy). The result yields (rows,
+    |rFFT| of those windowed frames) in frame order, carrying the
+    window_size - hop samples past the next frame's start over to the next
+    block; it reads the input to its end, so checks made on the way see all.
     """
     if window_size < 2 or window_size & (window_size - 1):
         raise ValueError(f"window size must be a power of two, got {window_size}")
@@ -55,17 +59,28 @@ def _stft(samples: np.ndarray, window_size: int, hop: int, window: str = "hann")
         raise ValueError(f"hop must be in [1, window_size], got {hop}")
     if window not in _WINDOWS:
         raise ValueError(f"unknown window {window!r}, expected one of {tuple(_WINDOWS)}")
-    if len(samples) < window_size:  # before the window is built, so a huge window_size allocates nothing
-        raise ValueError(f"window of {window_size} samples exceeds signal length {len(samples)}")
+    if num_samples < window_size:  # before the window is built, so a huge window_size allocates nothing
+        raise ValueError(f"window of {window_size} samples exceeds signal length {num_samples}")
     w = _WINDOWS[window](window_size)
     if not w.sum() > 0:
         raise ValueError(f"{window} window of {window_size} samples has no positive sum")
-    frames = np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop]
-    blocks = (
-        (rows, np.abs(np.fft.rfft(frames[rows] * w, axis=1)))
-        for rows in frame_blocks(len(frames), frames.itemsize * window_size)
-    )
-    return w, len(frames), blocks
+    frames = (num_samples - window_size) // hop + 1
+
+    def stft_blocks(samples):
+        head, buf, start = None, np.empty(0), 0  # buf: the last block read, from sample `start` on
+        for rows in frame_blocks(frames, w.itemsize * window_size):
+            lo, stop = rows.start * hop - start, (rows.stop - 1) * hop + window_size - start
+            seg = buf[lo:stop] if lo >= 0 else np.concatenate((head[lo:], buf[:stop]))
+            while len(buf) < stop:  # read on; head keeps what later frames need of the samples before buf
+                head = seg[(rows.stop - rows.start) * hop :].copy()
+                start, stop, buf = start + len(buf), stop - len(buf), next(samples)
+                seg = np.concatenate((seg, buf[:stop])) if len(seg) else buf[:stop]
+            view = np.lib.stride_tricks.sliding_window_view(seg, window_size)
+            yield rows, np.abs(np.fft.rfft(view[::hop] * w, axis=1))
+        for _ in samples:
+            pass
+
+    return w, frames, stft_blocks(iter(blocks))
 
 
 def _sum_frames(blocks) -> np.ndarray:
@@ -90,23 +105,31 @@ def _to_db(magnitudes: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(magnitudes, _MAG_FLOOR))
 
 
-def _mixdown(x: Signal) -> np.ndarray:
-    """Channel mean; analysis operates on a mono view of multichannel input.
+def _mono(blocks, channels: int):
+    """The channel mean of each (channels, cols) block (a view of the row if mono): analysis is mono.
 
-    Mono input is its own mean (dividing by 1 is exact), so its row is
-    returned as a view instead of a copy. Channels that cancel in the mean
-    (mixdown energy more than 20 dB below the mean channel energy) would
-    read as silence, so they are refused.
+    Channels that cancel in the mean (mixdown energy more than 20 dB below
+    the mean channel energy) would read as silence, so they are refused
+    after the last block, on energies summed block by block.
     """
-    if x.channels == 1:
-        return x.data[0]
-    mix = x.data.mean(axis=0)
-    channel_energy = sum(np.dot(row, row) for row in x.data) / x.channels
-    if np.dot(mix, mix) < 0.01 * channel_energy:
+    if channels == 1:
+        yield from (block[0] for block in blocks)
+        return
+    mix_energy, energies = 0.0, [0.0] * channels
+    for block in blocks:
+        mix = block.mean(axis=0)
+        mix_energy += np.dot(mix, mix)
+        energies = [e + np.dot(row, row) for e, row in zip(energies, block)]
+        yield mix
+    if mix_energy < 0.01 * (sum(energies) / channels):
         raise ValueError(
-            f"the {x.channels} channels cancel in the mixdown: its energy is more than 20 dB below theirs"
+            f"the {channels} channels cancel in the mixdown: its energy is more than 20 dB below theirs"
         )
-    return mix
+
+
+def _mixdown(x: Signal) -> tuple:
+    """x's mono view as one block, refused at once if its channels cancel."""
+    return tuple(_mono((x.data,), x.channels))
 
 
 @dataclass(frozen=True)
@@ -154,13 +177,7 @@ class Spectrogram:
 
 def spectrogram(x: Signal, window_size: int = 512, hop: int = 128, window: str = "hann") -> Spectrogram:
     """Magnitude STFT in dB. window_size must be a power of two, hop <= window_size."""
-    window_size = int(window_size)
-    hop = int(hop)
-    w, frames, blocks = _stft(_mixdown(x), window_size, hop, window)
-    db = np.empty((frames, window_size // 2 + 1))
-    for rows, mags in blocks:
-        db[rows] = _to_db(mags / w.sum())
-    return Spectrogram(frozen(db), x.sample_rate_hz, window_size, hop, window)
+    return _collect(x, window_size, hop, window, False)[0]
 
 
 def _freeze_grid(spectrum) -> None:
@@ -201,11 +218,51 @@ class AveragedSpectrum:
 def avg_spectrum(x: Signal, window_size: int = 512) -> AveragedSpectrum:
     """Mean per-frame STFT magnitude: Hann window, 50% overlap, at least 16 frames."""
     window_size = int(window_size)
-    w, frames, blocks = _stft(_mixdown(x), window_size, window_size // 2)
-    if frames < 16:
-        raise ValueError(f"need at least 16 frames for a stable average, got {frames}")
-    db = _to_db(_sum_frames(mags for _, mags in blocks) / frames / w.sum())
-    return AveragedSpectrum(_rfft_freqs(x.sample_rate_hz, window_size), db, x.sample_rate_hz, frames)
+    w, frames, blocks = _stft(_mixdown(x), x.num_samples, window_size, window_size // 2)
+    return _average(w, frames, blocks, x.sample_rate_hz, window_size // 2)[1]
+
+
+def _average(w, frames: int, blocks, sample_rate_hz: int, hop: int, out=None) -> tuple:
+    """(out(frames) holding every frame's dB, or None; the avg_spectrum of the blocks' frames).
+
+    The blocks come from _stft at a `hop` that divides w.size/2, so every
+    (w.size/2 // hop)-th frame is an avg_spectrum frame, summed as it
+    streams past in frame order.
+    """
+    step = w.size // 2 // hop
+    averaged = (frames - 1) // step + 1
+    if averaged < 16:
+        raise ValueError(f"need at least 16 frames for a stable average, got {averaged}")
+    db = None if out is None else out(frames)
+
+    def kept_frames():
+        for rows, mags in blocks:
+            if db is not None:
+                db[rows] = _to_db(mags / w.sum())
+            yield mags[-rows.start % step :: step]
+
+    mean_db = _to_db(_sum_frames(kept_frames()) / averaged / w.sum())
+    return db, AveragedSpectrum(_rfft_freqs(sample_rate_hz, w.size), mean_db, sample_rate_hz, averaged)
+
+
+def _spectrogram_stream(mono, num_samples: int, sample_rate_hz: int, window_size: int, hop: int, window: str,
+                        out, average: bool) -> tuple:
+    """(out(frames) given every `[rows] = dB` block of the spectrogram, the avg_spectrum if `average`).
+
+    Each mono() call starts a pass over the mono sample blocks (see _stft).
+    With the Hann window and a hop that divides window_size/2 one pass
+    serves both; otherwise avg_spectrum's pass and errors come first.
+    """
+    spectrum, half = None, window_size // 2
+    if average and (window != "hann" or hop < 1 or half % hop):
+        _, spectrum = _average(*_stft(mono(), num_samples, window_size, half), sample_rate_hz, half)
+    w, frames, blocks = _stft(mono(), num_samples, window_size, hop, window)
+    if average and spectrum is None:
+        return _average(w, frames, blocks, sample_rate_hz, hop, out)
+    db = out(frames)
+    for rows, mags in blocks:
+        db[rows] = _to_db(mags / w.sum())
+    return db, spectrum
 
 
 def spectrogram_and_average(
@@ -216,32 +273,19 @@ def spectrogram_and_average(
     With the Hann window and a hop that divides window_size/2, every
     avg_spectrum frame (hop window_size/2) is also a spectrogram frame, so
     one pass writes the spectrogram and sums every (window_size/2 // hop)-th
-    frame; the blocks of frames reach _sum_frames in frame order, so both
-    arrays equal the two separate calls bit for bit. Any other pairing makes
-    the two calls. Errors are avg_spectrum's first, then spectrogram's.
+    frame; both arrays equal the two separate calls bit for bit. Any other
+    pairing makes the two calls. Errors are avg_spectrum's first, then
+    spectrogram's.
     """
-    window_size = int(window_size)
-    hop = int(hop)
-    if window != "hann" or hop < 1 or (window_size // 2) % hop:
-        spectrum = avg_spectrum(x, window_size)
-        return spectrogram(x, window_size, hop, window), spectrum
-    w, frames, blocks = _stft(_mixdown(x), window_size, hop)
-    step = window_size // 2 // hop
-    averaged = (frames - 1) // step + 1
-    if averaged < 16:
-        raise ValueError(f"need at least 16 frames for a stable average, got {averaged}")
-    db = np.empty((frames, window_size // 2 + 1))
+    return _collect(x, window_size, hop, window, True)
 
-    def kept_frames():
-        for rows, mags in blocks:
-            db[rows] = _to_db(mags / w.sum())
-            yield mags[-rows.start % step :: step]
 
-    mean_db = _to_db(_sum_frames(kept_frames()) / averaged / w.sum())
-    return (
-        Spectrogram(frozen(db), x.sample_rate_hz, window_size, hop, window),
-        AveragedSpectrum(_rfft_freqs(x.sample_rate_hz, window_size), mean_db, x.sample_rate_hz, averaged),
-    )
+def _collect(x: Signal, window_size, hop, window: str, average: bool) -> tuple:
+    """The stream of x, as one block, collected into a Spectrogram (and an AveragedSpectrum)."""
+    window_size, hop = int(window_size), int(hop)
+    db, spectrum = _spectrogram_stream(lambda: _mixdown(x), x.num_samples, x.sample_rate_hz, window_size, hop,
+                                       window, lambda frames: np.empty((frames, window_size // 2 + 1)), average)
+    return Spectrogram(frozen(db), x.sample_rate_hz, window_size, hop, window), spectrum
 
 
 def average_spectra(spectra) -> AveragedSpectrum:
@@ -420,12 +464,13 @@ def measure_response(
             out = cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting)
         else:
             out = apply(spec, white_noise(n, fs_in, seed))
-        samples = _mixdown(out)
+        (samples,) = _mixdown(out)
         if len(samples) <= 2 * _EDGE_TRIM + window_size:
             raise ValueError(
                 f"output too short for edge trimming: {len(samples)} samples; increase n"
             )
-        _, frames, blocks = _stft(samples[_EDGE_TRIM:-_EDGE_TRIM], window_size, window_size // 2)
+        trimmed = len(samples) - 2 * _EDGE_TRIM
+        _, frames, blocks = _stft((samples[_EDGE_TRIM:-_EDGE_TRIM],), trimmed, window_size, window_size // 2)
         acc = acc + _sum_frames(mags ** 2 for _, mags in blocks)
         total_frames += frames
     db = 10.0 * np.log10(np.maximum(acc / total_frames, _POWER_FLOOR))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -191,18 +192,6 @@ def _csv_text(block: np.ndarray) -> np.ndarray:
     return text[text != 0]
 
 
-def _write_csv(path, matrix: np.ndarray) -> None:
-    """Write `matrix` byte for byte as np.savetxt(path, matrix, fmt="%.6f", delimiter=",",
-    newline="\n") does, formatting one block of frames at a time.
-
-    Formatting a value takes about 64 bytes of temporaries, so a block's
-    formatting holds about BLOCK_BYTES however large the matrix is.
-    """
-    with open(path, "wb") as fh:
-        for rows in sig.frame_blocks(len(matrix), 64 * matrix.shape[1]):
-            fh.write(_csv_text(matrix[rows]))
-
-
 def _gray_levels(db: np.ndarray) -> np.ndarray:
     """dB in [-80, 0] mapped to [0, 255] as uint8, scaled in place on one clipped copy."""
     levels = np.clip(db, -80.0, 0.0)
@@ -212,56 +201,119 @@ def _gray_levels(db: np.ndarray) -> np.ndarray:
     return np.round(levels, out=levels).astype(np.uint8)
 
 
-def _write_pgm(path, spectrogram: ana.Spectrogram) -> None:
-    """8-bit binary PGM: dB in [-80, 0] mapped to [0, 255], bin 0 at the bottom row.
+class _Exports:
+    """The spectrogram exports, stored one block of frames at a time (`exports[rows] = db`).
 
-    The image is filled one block of frames at a time, so the float
-    temporaries stay one block in size.
+    Each block's CSV rows go to `csv`, an open binary file, and its gray
+    levels fill the PGM image (bin 0 at the bottom row), the one whole
+    array. Blocks are formatted in slices of about BLOCK_BYTES of
+    temporaries (about 64 bytes per CSV value).
     """
-    db = spectrogram.magnitudes_db
-    img = np.empty((spectrogram.num_bins, spectrogram.num_frames), dtype=np.uint8)
-    for rows in sig.frame_blocks(spectrogram.num_frames, db.itemsize * spectrogram.num_bins):
-        img[::-1, rows] = _gray_levels(db[rows]).T
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
+
+    def __init__(self, frames: int, bins: int, csv=None, pgm: bool = False):
+        self.frames = frames
+        self.csv = csv
+        self.img = np.empty((bins, frames), dtype=np.uint8) if pgm else None
+
+    def __setitem__(self, rows: slice, db: np.ndarray) -> None:
+        for part in sig.frame_blocks(len(db), 64 * db.shape[1]):
+            if self.csv is not None:
+                self.csv.write(_csv_text(db[part]))
+            if self.img is not None:
+                self.img[::-1, rows.start + part.start : rows.start + part.stop] = _gray_levels(db[part]).T
+
+    def write_pgm(self, path) -> None:
+        """8-bit binary PGM of the image."""
+        with open(path, "wb") as fh:
+            fh.write(f"P5\n{self.img.shape[1]} {self.img.shape[0]}\n255\n".encode("ascii"))
+            fh.write(self.img.data)
+
+
+def _write_csv(path, matrix: np.ndarray) -> None:
+    """Write `matrix` byte for byte as np.savetxt(path, matrix, fmt="%.6f", delimiter=",",
+    newline="\n") does, formatting one block of frames at a time (see _Exports)."""
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(img.data)
+        _Exports(*matrix.shape, csv=fh)[0 : len(matrix)] = matrix
+
+
+def _write_pgm(path, spectrogram: ana.Spectrogram) -> None:
+    """8-bit binary PGM: dB in [-80, 0] mapped to [0, 255], bin 0 at the bottom row (see _Exports)."""
+    exports = _Exports(spectrogram.num_frames, spectrogram.num_bins, pgm=True)
+    exports[0 : spectrogram.num_frames] = spectrogram.magnitudes_db
+    exports.write_pgm(path)
+
+
+def _finite_blocks(blocks):
+    """The blocks, each checked to hold finite samples as it passes, as Signal checks a whole signal."""
+    for block in blocks:
+        if not sig._all_finite(block):
+            raise ValueError("signal samples must be finite")
+        yield block
 
 
 def cmd_analyze(args) -> int:
+    """Stream the input WAV file to the exports, so neither the signal nor the spectrogram is ever whole.
+
+    The CSV goes to a temporary file beside its target and is moved into
+    place once the report is made, so a refusal found during or after the
+    pass (non-finite samples, cancelling channels, the report's checks)
+    leaves no file behind.
+    """
     if (args.fs_in is None) != (args.factor is None):
         raise ValueError("replica prediction requires both --fs-in and --factor")
     _require_finite(args, "--threshold-db")
-    signal = sig.read_wav(getattr(args, "in"))
+    path = getattr(args, "in")
+    rate, channels, num_samples, _ = sig.wav_blocks(path)
+    bins = args.stft_size // 2 + 1
+    csv = tmp = None
     artifacts = None
-    if args.fs_in is None:
-        spect = ana.spectrogram(signal, args.stft_size, args.hop, args.window)
-    else:
-        spect, spectrum = ana.spectrogram_and_average(signal, args.stft_size, args.hop, args.window)
-        report = ana.artifact_report(
-            spectrum, args.fs_in, args.factor, threshold_db=args.threshold_db
-        )
-        artifacts = {
-            "predicted_replicas_hz": [_round6(f) for f in report.predicted_replicas_hz],
-            "tonal_peaks": [
-                {"freq_hz": _round6(p.freq_hz), "prominence_db": _round6(p.prominence_db)}
-                for p in report.tonal_peaks
-            ],
-            "band_attenuation_db": [_round6(b) for b in report.band_attenuation_db],
-            "tonal_detected": bool(report.tonal_detected),
-            "filtering_detected": bool(report.filtering_detected),
-        }
 
-    if args.csv:
-        _write_csv(args.csv, spect.magnitudes_db)
+    def mono():
+        return ana._mono(_finite_blocks(sig.wav_blocks(path)[3]), channels)
+
+    def exports(frames):
+        nonlocal csv, tmp
+        if args.csv:
+            if os.path.exists(args.csv) and not os.path.isfile(args.csv):  # os.replace would put a file in its place
+                raise ValueError(f"--csv {args.csv} is not a regular file")
+            name = f"{args.csv}.{os.getpid()}.tmp"
+            csv = open(name, "xb")
+            tmp = name
+        return _Exports(frames, bins, csv, bool(args.pgm))
+
+    try:
+        spect, spectrum = ana._spectrogram_stream(
+            mono, num_samples, rate, args.stft_size, args.hop, args.window, exports, args.fs_in is not None
+        )
+        if spectrum is not None:
+            report = ana.artifact_report(spectrum, args.fs_in, args.factor, threshold_db=args.threshold_db)
+            artifacts = {
+                "predicted_replicas_hz": [_round6(f) for f in report.predicted_replicas_hz],
+                "tonal_peaks": [
+                    {"freq_hz": _round6(p.freq_hz), "prominence_db": _round6(p.prominence_db)}
+                    for p in report.tonal_peaks
+                ],
+                "band_attenuation_db": [_round6(b) for b in report.band_attenuation_db],
+                "tonal_detected": bool(report.tonal_detected),
+                "filtering_detected": bool(report.filtering_detected),
+            }
+        if csv is not None:
+            csv.close()
+            os.replace(tmp, args.csv)
+            tmp = None
+    finally:
+        if csv is not None:
+            csv.close()
+        if tmp is not None:
+            os.remove(tmp)
     if args.pgm:
-        _write_pgm(args.pgm, spect)
+        spect.write_pgm(args.pgm)
 
     body = {
         "schema": 1,
         "command": "analyze",
         "config": {
-            "in": getattr(args, "in"),
+            "in": path,
             "stft_size": args.stft_size,
             "hop": args.hop,
             "window": args.window,
@@ -270,13 +322,13 @@ def cmd_analyze(args) -> int:
             "threshold_db": _round6(args.threshold_db),
         },
         "input": {
-            "sample_rate_hz": signal.sample_rate_hz,
-            "channels": signal.channels,
-            "num_samples": signal.num_samples,
+            "sample_rate_hz": rate,
+            "channels": channels,
+            "num_samples": num_samples,
         },
         "spectrogram": {
-            "frames": spect.num_frames,
-            "bins": spect.num_bins,
+            "frames": spect.frames,
+            "bins": bins,
             "csv": args.csv,
             "pgm": args.pgm,
         },

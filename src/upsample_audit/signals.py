@@ -72,14 +72,17 @@ class Signal:
     C-contiguous float64 array that owns its data is taken over as it is
     (see `frozen`); any other input (writeable, a view, non-contiguous,
     another dtype) is copied, so later writes through it cannot reach the
-    signal. Every sample is checked to be finite either way. `padded` marks
-    a signal whose final sample is a zero appended by a wavelet analysis
-    step on odd-length input, so the matching synthesis step can trim it.
+    signal. Every sample is checked to be finite either way, from the
+    data's min and max, and the peak |sample| they give is kept for
+    write_wav. `padded` marks a signal whose final sample is a zero appended
+    by a wavelet analysis step on odd-length input, so the matching
+    synthesis step can trim it.
     """
 
     data: np.ndarray
     sample_rate_hz: int
     padded: bool = field(default=False)
+    _peak: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arr = readonly_float64(self.data)
@@ -89,11 +92,14 @@ class Signal:
             raise ValueError(f"signal data must be 1D or 2D, got ndim={arr.ndim}")
         if arr.shape[1] == 0:
             raise ValueError("signal must contain at least one sample")
-        if not _all_finite(arr):
+        # NaN carries through min and max, and +-inf shows up in one of them.
+        peak = max(arr.max(), -arr.min()) if arr.size else 0.0
+        if not np.isfinite(peak):
             raise ValueError("signal samples must be finite")
         if int(self.sample_rate_hz) <= 0:
             raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "_peak", peak)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 
     @property
@@ -197,8 +203,7 @@ def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
     data_bytes = signal.data.size * bits // 8
     check_wav_size(signal.data.size, bits // 8)
     check_wav_rate(signal.sample_rate_hz, block_align)
-    # Samples are finite, so max/min find the peak |x| without a full-size temporary.
-    peak = max(signal.data.max(), -signal.data.min())
+    peak = signal._peak
     if fmt == "float32" and peak >= _FLOAT32_OVERFLOW:
         raise ValueError(f"a sample of magnitude {peak:g} is beyond float32's range")
     saturate = fmt == "pcm16" and peak > 1.0
@@ -229,15 +234,11 @@ def _pcm16(frames: np.ndarray, saturate: bool) -> np.ndarray:
     return np.round(block, out=block).astype("<i2")
 
 
-def read_wav(path) -> Signal:
-    """Read a RIFF/WAVE file into a Signal (float64 samples).
+def _wav_header(path) -> tuple:
+    """(sample rate, channels, samples per channel, sample dtype, data offset) of a WAV file.
 
-    Accepts PCM 16-bit and IEEE float 32-bit, mono or stereo. Unknown
-    chunks are skipped. Raises ValueError on malformed headers or
-    unsupported codecs. Only chunk headers are read while parsing; the data
-    chunk is then read one block of frames at a time straight into the
-    signal's (channels, samples) array, so besides the signal the reader
-    holds one block of file bytes.
+    Only chunk headers are read. Raises ValueError on malformed headers or
+    unsupported codecs.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -261,30 +262,70 @@ def read_wav(path) -> Signal:
                 payload = (pos + 8, size)
             pos += 8 + size + (size & 1)
 
-        if fmt_info is None or payload is None:
-            raise ValueError(f"{path}: missing fmt or data chunk")
-        audio_format, ch, rate, _byte_rate, _block_align, bits = fmt_info
-        if ch not in (1, 2):
-            raise ValueError(f"{path}: only mono and stereo are supported, got {ch} channels")
-        if (audio_format, bits) == (1, 16):
-            dtype = np.dtype("<i2")
-        elif (audio_format, bits) == (3, 32):
-            dtype = np.dtype("<f4")
-        else:
-            raise ValueError(f"{path}: unsupported codec (format={audio_format}, bits={bits})")
-        offset, size = payload
-        if size % dtype.itemsize:
-            raise ValueError("buffer size must be a multiple of element size")  # as np.frombuffer says
-        count = size // dtype.itemsize
-        if count == 0 or count % ch:
-            raise ValueError(f"{path}: data chunk size does not match the channel count")
-        # One conversion per block, straight from the file's interleaved frames into channel rows.
-        data = np.empty((ch, count // ch))
+    if fmt_info is None or payload is None:
+        raise ValueError(f"{path}: missing fmt or data chunk")
+    audio_format, ch, rate, _byte_rate, _block_align, bits = fmt_info
+    if ch not in (1, 2):
+        raise ValueError(f"{path}: only mono and stereo are supported, got {ch} channels")
+    if (audio_format, bits) == (1, 16):
+        dtype = np.dtype("<i2")
+    elif (audio_format, bits) == (3, 32):
+        dtype = np.dtype("<f4")
+    else:
+        raise ValueError(f"{path}: unsupported codec (format={audio_format}, bits={bits})")
+    offset, size = payload
+    if size % dtype.itemsize:
+        raise ValueError("buffer size must be a multiple of element size")  # as np.frombuffer says
+    count = size // dtype.itemsize
+    if count == 0 or count % ch:
+        raise ValueError(f"{path}: data chunk size does not match the channel count")
+    return rate, ch, count // ch, dtype, offset
+
+
+def _wav_data(path, header: tuple, out=None):
+    """The data chunk as float64 (channels, cols) blocks of about BLOCK_BYTES each.
+
+    Each block is converted straight from the file's interleaved frames into
+    channel rows: into out's columns if `out` is given, else into a fresh
+    C-contiguous array. The file is opened when the first block is asked for.
+    """
+    _, ch, n, dtype, offset = header
+    with open(path, "rb") as fh:
         fh.seek(offset)
-        for cols in frame_blocks(data.shape[1], ch * dtype.itemsize):
+        for cols in frame_blocks(n, 8 * ch):
             frames = np.frombuffer(fh.read(ch * dtype.itemsize * (cols.stop - cols.start)), dtype=dtype)
-            if bits == 16:
-                np.divide(frames.reshape(-1, ch).T, _PCM16_SCALE, out=data[:, cols])
+            block = np.empty((ch, cols.stop - cols.start)) if out is None else out[:, cols]
+            if dtype.kind == "i":
+                np.divide(frames.reshape(-1, ch).T, _PCM16_SCALE, out=block)
             else:
-                data[:, cols] = frames.reshape(-1, ch).T
-    return Signal(frozen(data), rate)
+                block[...] = frames.reshape(-1, ch).T
+            yield block
+
+
+def wav_blocks(path) -> tuple:
+    """Parse a RIFF/WAVE header; return (sample rate, channels, samples per channel, blocks).
+
+    The header is parsed at the call, with read_wav's checks and messages.
+    `blocks` yields the samples in order as C-contiguous float64 (channels,
+    cols) arrays of about BLOCK_BYTES each, so a reader holds a block however
+    long the file is. It opens the file when first iterated. The samples are
+    not checked: a caller that needs them finite scans each block.
+    """
+    header = _wav_header(path)
+    return (*header[:3], _wav_data(path, header))
+
+
+def read_wav(path) -> Signal:
+    """Read a RIFF/WAVE file into a Signal (float64 samples).
+
+    Accepts PCM 16-bit and IEEE float 32-bit, mono or stereo. Unknown
+    chunks are skipped. Raises ValueError on malformed headers or
+    unsupported codecs. The signal collects the blocks of wav_blocks: each
+    is converted straight into the signal's (channels, samples) array, so
+    besides the signal the reader holds one block of file bytes.
+    """
+    header = _wav_header(path)
+    data = np.empty(header[1:3])
+    for _ in _wav_data(path, header, data):
+        pass
+    return Signal(frozen(data), header[0])

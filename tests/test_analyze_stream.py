@@ -1,0 +1,226 @@
+"""analyze streams its WAV file: its outputs against references built from the
+whole signal, with read blocks that split frames and hops; refusals found
+during or after the pass; and its memory bound."""
+
+import json
+import os
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from upsample_audit import analysis as ana
+from upsample_audit import cli
+from upsample_audit import signals as sig
+
+RATE = 32000
+N = 512 + 40 * 128 + 77  # 41 frames at hop 128, 21 averaged frames, and a tail past the last frame
+ODD = 8 * 512 * 3 + 1  # an odd byte count: three STFT frames per block, reads of no whole number of hops
+
+
+def _write(path, data, fmt="float32"):
+    sig.write_wav(path, sig.Signal(data, RATE), fmt)
+
+
+def _noise(channels, n, seed):
+    return np.random.Generator(np.random.Philox(seed)).uniform(-0.9, 0.9, (channels, n))
+
+
+def _analyze(capsys, src, out_dir, *flags):
+    paths = {name: str(out_dir / name) for name in ("r.json", "s.csv", "s.pgm")}
+    code = cli.main(["analyze", "--in", str(src), "--report", paths["r.json"], "--csv", paths["s.csv"],
+                     "--pgm", paths["s.pgm"], *map(str, flags)])
+    return code, capsys.readouterr(), paths
+
+
+def _reference(src, paths, stft_size, hop, window, fs_in, factor):
+    """The report, CSV and PGM bytes built from the whole signal: the library calls, then the writers."""
+    x = sig.read_wav(src)
+    artifacts = None
+    if fs_in is None:
+        view = ana.spectrogram(x, stft_size, hop, window)
+    else:
+        view, spectrum = ana.spectrogram_and_average(x, stft_size, hop, window)
+        report = ana.artifact_report(spectrum, fs_in, factor)
+        artifacts = {
+            "predicted_replicas_hz": [cli._round6(f) for f in report.predicted_replicas_hz],
+            "tonal_peaks": [{"freq_hz": cli._round6(p.freq_hz), "prominence_db": cli._round6(p.prominence_db)}
+                            for p in report.tonal_peaks],
+            "band_attenuation_db": [cli._round6(b) for b in report.band_attenuation_db],
+            "tonal_detected": report.tonal_detected,
+            "filtering_detected": report.filtering_detected,
+        }
+    ref_dir = os.path.dirname(paths["r.json"]) + "-ref"
+    os.makedirs(ref_dir)
+    cli._write_csv(os.path.join(ref_dir, "s.csv"), view.magnitudes_db)
+    cli._write_pgm(os.path.join(ref_dir, "s.pgm"), view)
+    body = {
+        "schema": 1,
+        "command": "analyze",
+        "config": {"in": str(src), "stft_size": stft_size, "hop": hop, "window": window, "fs_in": fs_in,
+                   "factor": factor, "threshold_db": 6.0},
+        "input": {"sample_rate_hz": x.sample_rate_hz, "channels": x.channels, "num_samples": x.num_samples},
+        "spectrogram": {"frames": view.num_frames, "bins": view.num_bins, "csv": paths["s.csv"],
+                        "pgm": paths["s.pgm"]},
+        "artifacts": artifacts,
+    }
+    with open(os.path.join(ref_dir, "s.csv"), "rb") as csv, open(os.path.join(ref_dir, "s.pgm"), "rb") as pgm:
+        return (json.dumps(body, indent=2) + "\n").encode(), csv.read(), pgm.read()
+
+
+# (channels, format, hop, window, --fs-in, frames per read block, or ODD bytes)
+CASES = [
+    (1, "float32", 128, "hann", 8000, 1),
+    (2, "float32", 128, "hann", 8000, 3),
+    (1, "pcm16", 100, "hann", 8000, 7),
+    (2, "pcm16", 256, "hann", 8000, ODD),
+    (1, "float32", 1, "hann", 8000, ODD),
+    (2, "float32", 1, "hann", None, 7),
+    (1, "pcm16", 128, "rect", 8000, 3),
+    (2, "float32", 100, "rect", None, 1),
+    (1, "float32", 256, "hann", None, 3),
+    (2, "pcm16", 128, "hann", None, ODD),
+    (1, "float32", 100, "hann", 8000, ODD),
+    (2, "float32", 256, "rect", 8000, 7),
+]
+
+
+@pytest.mark.parametrize("channels, fmt, hop, window, fs_in, block", CASES)
+def test_streamed_outputs_equal_the_whole_signal_references(tmp_path, monkeypatch, capsys, channels, fmt, hop,
+                                                           window, fs_in, block):
+    src = tmp_path / "in.wav"
+    _write(src, _noise(channels, N, seed=hop + channels), fmt)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    flags = ["--hop", hop, "--window", window] + ([] if fs_in is None else ["--fs-in", fs_in, "--factor", 4])
+    paths = {name: str(out_dir / name) for name in ("r.json", "s.csv", "s.pgm")}
+    want = _reference(src, paths, 512, hop, window, fs_in, None if fs_in is None else 4)
+    monkeypatch.setattr(sig, "BLOCK_BYTES", block if block == ODD else block * 8 * channels)
+    code, captured, paths = _analyze(capsys, src, out_dir, *flags)
+    assert (code, captured.err) == (0, "")
+    assert captured.out == cli._json_line({"schema": 1, "command": "analyze", "report": paths["r.json"]}) + "\n"
+    got = tuple((out_dir / name).read_bytes() for name in ("r.json", "s.csv", "s.pgm"))
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+    assert sorted(os.listdir(out_dir)) == ["r.json", "s.csv", "s.pgm"]
+
+
+def _nan_in_last_block(path):
+    _write(path, _noise(1, N, seed=1))
+    with open(path, "r+b") as fh:
+        fh.seek(-4, os.SEEK_END)  # the last sample, past the last frame and in the last read block
+        fh.write(struct.pack("<f", float("nan")))
+
+
+def _cancelling(path):
+    left = _noise(1, N, seed=2)[0]
+    _write(path, np.stack([left, -left]))
+
+
+REFUSALS = {
+    "nan in the last block": (_nan_in_last_block, [], "signal samples must be finite"),
+    "cancelling channels": (_cancelling, [],
+                            "the 2 channels cancel in the mixdown: its energy is more than 20 dB below theirs"),
+    "rate after the pass": (lambda path: _write(path, _noise(1, N, seed=3)), ["--fs-in", 8000, "--factor", 3],
+                            "spectrum rate 32000 Hz is not fs_in * factor = 8000 * 3 Hz"),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("fault", REFUSALS)
+def test_refusals_during_or_after_the_pass_write_nothing(tmp_path, monkeypatch, capsys, fault, existing):
+    make, flags, message = REFUSALS[fault]
+    src = tmp_path / "in.wav"
+    make(src)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if existing:
+        for name in ("r.json", "s.csv", "s.pgm"):
+            (out_dir / name).write_bytes(b"kept " + name.encode())
+    before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+    monkeypatch.setattr(sig, "BLOCK_BYTES", 4096)  # several read blocks
+    code, captured, _ = _analyze(capsys, src, out_dir, *flags)
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)} == before
+
+
+def test_csv_over_its_own_input_reads_it_first(tmp_path, monkeypatch, capsys):
+    # As when the whole file was read before any export: the CSV of the old
+    # file replaces it, and the report describes the old file.
+    src = tmp_path / "x.wav"
+    _write(src, _noise(2, N, seed=4))
+    x = sig.read_wav(src)
+    cli._write_csv(tmp_path / "want.csv", ana.spectrogram(x).magnitudes_db)
+    monkeypatch.setattr(sig, "BLOCK_BYTES", 4096)
+    report = tmp_path / "r.json"
+    assert cli.main(["analyze", "--in", str(src), "--report", str(report), "--csv", str(src)]) == 0
+    assert src.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert json.loads(report.read_text())["input"] == {"sample_rate_hz": RATE, "channels": 2, "num_samples": N}
+    assert sorted(os.listdir(tmp_path)) == ["r.json", "want.csv", "x.wav"]
+
+
+def test_csv_that_is_no_regular_file_is_refused(tmp_path, capsys):
+    # The CSV replaces its target when the report is made, so a directory
+    # (or a device or pipe) at that path is refused instead of replaced.
+    src = tmp_path / "in.wav"
+    _write(src, _noise(1, N, seed=5))
+    (tmp_path / "s.csv").mkdir()
+    code, captured, paths = _analyze(capsys, src, tmp_path)
+    assert (code, captured.err.splitlines()) == (2, [f"error: --csv {paths['s.csv']} is not a regular file"])
+    assert sorted(os.listdir(tmp_path)) == ["in.wav", "s.csv"]
+    assert os.listdir(tmp_path / "s.csv") == []
+
+
+@pytest.mark.parametrize("agreeing, refused", [(99, True), (100, False), (101, False)])
+def test_cancellation_boundary_with_sums_split_into_blocks(tmp_path, monkeypatch, capsys, agreeing, refused):
+    # Left is all ones; right is minus one but for `agreeing` samples of plus
+    # one spread over the file, so the mixdown energy is `agreeing` and the
+    # mean channel energy 10,000, and both are exact sums however they are
+    # split: on the 20 dB line (100) is kept, one sample below it is refused.
+    # The streamed CLI sums per read block, the library over whole rows.
+    n = 10_000
+    right = -np.ones(n)
+    right[np.linspace(0, n - 1, agreeing).astype(int)] = 1.0
+    x = sig.Signal(np.stack([np.ones(n), right]), RATE)
+    src = tmp_path / "in.wav"
+    sig.write_wav(src, x)
+    monkeypatch.setattr(sig, "BLOCK_BYTES", 8 * 777)  # reads of 777 frames
+    code, captured, _ = _analyze(capsys, src, tmp_path)
+    library_refuses = False
+    try:
+        ana.spectrogram(x)
+    except ValueError as exc:
+        library_refuses = "cancel" in str(exc)
+    assert (code == 2, library_refuses) == (refused, refused)
+    assert ("cancel" in captured.err) == refused
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_holds_its_image_and_a_few_blocks(tmp_path_factory, capsys):
+    # Doubling the input doubles only the PGM image (one byte per frame and
+    # bin). The rest is a few blocks: two read blocks while the next one is
+    # read, the windowed frames and their rFFT, and a slice of export text
+    # (4.5 to 4.8 BLOCK_BYTES, mono or stereo).
+    peaks, images = [], []
+    for n in (1 << 21, 1 << 22):
+        work = tmp_path_factory.mktemp(f"n{n}")
+        _write(work / "in.wav", _noise(1, n, seed=n))
+        peaks.append(_traced_peak(["analyze", "--in", str(work / "in.wav"), "--report", str(work / "r.json"),
+                                   "--csv", str(work / "s.csv"), "--pgm", str(work / "s.pgm"),
+                                   "--fs-in", "8000", "--factor", "4"]))
+        images.append(((n - 512) // 128 + 1) * 257)
+        assert peaks[-1] < images[-1] + 6 * sig.BLOCK_BYTES
+    capsys.readouterr()
+    assert peaks[1] < 2 * peaks[0]
+    assert peaks[1] - peaks[0] < images[1] - images[0] + sig.BLOCK_BYTES

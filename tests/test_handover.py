@@ -133,6 +133,18 @@ class TestStreamedWriter:
         assert not path.exists()
 
 
+    def test_the_peak_comes_from_the_signal_scan(self, tmp_path):
+        # Signal keeps the peak |sample| of its finiteness scan and write_wav
+        # reads it, so a float32 or pcm16 export scans the samples once.
+        x = sig.Signal(np.array([[0.5, -2.0, 1.0]]), 8000)
+        assert x._peak == 2.0 and "_peak" not in repr(x)
+        object.__setattr__(x, "_peak", 0.5)  # a second scan would see 2.0 and warn of saturation
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sig.write_wav(tmp_path / "x.wav", x, "pcm16")
+        assert caught == []
+
+
 def _spec(kind, factor):
     return UpsamplerSpec(
         kind=kind,

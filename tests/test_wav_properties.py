@@ -38,8 +38,15 @@ def _round_trip(path, x, fmt, block_bytes):
         mp.setattr(sig, "BLOCK_BYTES", block_bytes)
         sig.write_wav(path, x, fmt=fmt)
         back = sig.read_wav(path)
+        rate, channels, samples, blocks = sig.wav_blocks(path)
+        blocks = list(blocks)
     assert back.data.shape == x.data.shape
     assert back.sample_rate_hz == x.sample_rate_hz
+    # read_wav is the collection of wav_blocks' C-ordered blocks of at most BLOCK_BYTES of float64.
+    assert (rate, channels, samples) == (x.sample_rate_hz, x.channels, x.num_samples)
+    frames_per_block = max(1, block_bytes // (8 * channels))
+    assert all(b.flags.c_contiguous and b.shape[1] <= frames_per_block for b in blocks)
+    assert np.concatenate(blocks, axis=1).tobytes() == back.data.tobytes()
     return back
 
 
@@ -81,6 +88,16 @@ def test_mutated_bytes_give_a_signal_or_a_value_error(wav_path, valid_wavs, kind
     wav_path.write_bytes(bytes(raw[:cut]))
     try:
         x = sig.read_wav(wav_path)
-    except ValueError:
+    except ValueError as exc:
+        x, error = None, str(exc)
+    try:
+        blocks = np.concatenate(list(sig.wav_blocks(wav_path)[3]), axis=1)
+    except ValueError as exc:
+        # wav_blocks refuses a file with read_wav's header message.
+        assert x is None and str(exc) == error
         return
-    assert isinstance(x, sig.Signal)
+    if x is None:
+        # A header wav_blocks accepts; read_wav refused a sample, as Signal does.
+        assert error == "signal samples must be finite" and not np.all(np.isfinite(blocks))
+    else:
+        assert isinstance(x, sig.Signal) and blocks.tobytes() == x.data.tobytes()
