@@ -25,10 +25,11 @@ from .upsamplers import (
     UpsamplerSpec,
     WaveletFilters,
     apply,
+    apply_blocks,
     largest_array,
     lifting_analysis,
     lifting_param_grads,
-    wavelet_roundtrip,
+    wavelet_roundtrip_blocks,
 )
 from .upsamplers.config import layer_filter
 
@@ -108,16 +109,57 @@ def _spec_from_args(args) -> UpsamplerSpec:
     )
 
 
+def _check_target(path: str, flag: str) -> None:
+    """Refuse an existing path that is not a regular file, since os.replace would put a file in its place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"{flag} {path} is not a regular file")
+
+
+def _float32_blocks(blocks):
+    """The blocks, each refused unless finite and within float32's range, from one min and max each."""
+    for block in blocks:
+        peak = max(block.max(), -block.min())  # NaN carries through both, and +-inf shows up in one
+        if not np.isfinite(peak):
+            raise ValueError("signal samples must be finite")
+        sig._check_float32(peak)
+        yield block
+
+
 def cmd_upsample(args) -> int:
+    """Stream the output to the WAV file one block of columns at a time, so it is never whole.
+
+    The file is written to a temporary file beside the target (a symlink's
+    target) and moved into place once every block has passed its checks,
+    so a refusal found while writing leaves no file behind.
+    """
     spec = _spec_from_args(args)
+    _check_target(args.out, "--out")
     signal = sig.read_wav(getattr(args, "in"))
     if args.wavelet_mode == "roundtrip":
-        out = wavelet_roundtrip(spec, signal)
+        rate, length, blocks = wavelet_roundtrip_blocks(spec, signal)
     else:
         sig.check_wav_size(largest_array(spec, signal.channels, signal.num_samples))
         sig.check_wav_rate(spec.factor * signal.sample_rate_hz, 4 * signal.channels)
-        out = apply(spec, signal)
-    sig.write_wav(args.out, out, fmt="float32")
+        rate, length, blocks = apply_blocks(spec, signal)
+    size, write = sig.wav_writer(rate, signal.channels, length)
+    target = os.path.realpath(args.out)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    made = None
+    try:
+        with open(tmp, "xb") as fh:
+            made = tmp
+            if hasattr(os, "posix_fallocate"):
+                # Allocated up front, the file has no delayed allocation left to
+                # flush when it is renamed over an existing one (ext4 does so).
+                os.posix_fallocate(fh.fileno(), 0, size)
+            write(fh, _float32_blocks(blocks))
+        os.replace(tmp, target)
+        made = None
+    except OSError as exc:  # named by the user's path, not the temporary file's
+        raise OSError(exc.errno, exc.strerror, args.out) from None
+    finally:
+        if made is not None:
+            os.remove(made)
     print(_json_line({
         "schema": 1,
         "command": "upsample",
@@ -133,7 +175,7 @@ def cmd_upsample(args) -> int:
         "seed": spec.seed,
         "wavelet_mode": args.wavelet_mode,
         "out": args.out,
-        "out_sample_rate_hz": out.sample_rate_hz,
+        "out_sample_rate_hz": rate,
     }))
     return 0
 
@@ -274,8 +316,7 @@ def cmd_analyze(args) -> int:
     def exports(frames):
         nonlocal csv, tmp
         if args.csv:
-            if os.path.exists(args.csv) and not os.path.isfile(args.csv):  # os.replace would put a file in its place
-                raise ValueError(f"--csv {args.csv} is not a regular file")
+            _check_target(args.csv, "--csv")
             name = f"{args.csv}.{os.getpid()}.tmp"
             csv = open(name, "xb")
             tmp = name

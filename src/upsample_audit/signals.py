@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# Byte budget of one block of frames in the STFT front end and the WAV and
-# PGM writers.
+# Byte budget of one block of frames in the STFT front end, the WAV and PGM
+# writers and the streamed upsample output.
 BLOCK_BYTES = 1 << 22
 
 
@@ -183,53 +183,74 @@ def check_wav_rate(sample_rate_hz: int, frame_bytes: int = 4) -> None:
         )
 
 
+def _check_float32(peak: float) -> None:
+    """Refuse samples of peak magnitude `peak` that float32 would round to infinity."""
+    if peak >= _FLOAT32_OVERFLOW:
+        raise ValueError(f"a sample of magnitude {peak:g} is beyond float32's range")
+
+
+def wav_writer(sample_rate_hz: int, channels: int, num_samples: int, fmt: str = "float32") -> tuple:
+    """Check the fields of a WAV header; return the file's size in bytes and write(fh, blocks), its writer.
+
+    A format other than pcm16 and float32, more than two channels, a data
+    chunk over MAX_WAV_DATA_BYTES or a rate check_wav_rate refuses raises
+    ValueError at the call, so a caller can refuse before it opens its
+    file. write(fh, blocks) writes the header to the open binary file fh,
+    then each float64 (channels, cols) block of `blocks`, interleaved and
+    converted one block at a time, so it holds one block's bytes; the
+    blocks hold num_samples columns in all. pcm16 saturates at +-1; the
+    samples are not checked.
+    """
+    if fmt not in ("pcm16", "float32"):
+        raise ValueError(f"unsupported format {fmt!r}, expected 'pcm16' or 'float32'")
+    if channels > 2:
+        raise ValueError(f"only mono and stereo are supported, got {channels} channels")
+    bits = 16 if fmt == "pcm16" else 32
+    block_align = channels * bits // 8
+    data_bytes = num_samples * block_align
+    check_wav_size(channels * num_samples, bits // 8)
+    check_wav_rate(sample_rate_hz, block_align)
+
+    header = struct.pack(
+        "<4sIHHIIHH", b"fmt ", 16, 1 if fmt == "pcm16" else 3, channels,
+        sample_rate_hz, sample_rate_hz * block_align, block_align, bits,
+    )
+    if fmt == "float32":
+        header += struct.pack("<4sII", b"fact", 4, num_samples)
+    header += struct.pack("<4sI", b"data", data_bytes)
+    header = struct.pack("<4sI4s", b"RIFF", 4 + len(header) + data_bytes, b"WAVE") + header
+
+    def write(fh, blocks) -> None:
+        fh.write(header)
+        for block in blocks:
+            frames = block.T  # interleaved: frames x channels
+            fh.write(_pcm16(frames) if fmt == "pcm16" else frames.astype("<f4", order="C"))
+
+    return len(header) + data_bytes, write
+
+
 def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
     """Write a Signal as a RIFF/WAVE file.
 
     float32 is lossless for float32-representable samples. pcm16 quantizes
     with symmetric scale 32767; samples outside [-1, 1] are saturated with
-    a warning. A data chunk over MAX_WAV_DATA_BYTES, a rate check_wav_rate
-    refuses, or a float32 sample that would round to infinity raises
-    ValueError before the file is opened. Samples are converted and written
-    one block of frames at a time, so the writer holds one block's bytes.
+    a warning. What wav_writer refuses, or a float32 sample that would round
+    to infinity, raises ValueError before the file is opened. The file is
+    written by wav_writer one block of frames at a time.
     """
-    if fmt not in ("pcm16", "float32"):
-        raise ValueError(f"unsupported format {fmt!r}, expected 'pcm16' or 'float32'")
-    if signal.channels > 2:
-        raise ValueError(f"only mono and stereo are supported, got {signal.channels} channels")
-    bits = 16 if fmt == "pcm16" else 32
-    ch = signal.channels
-    block_align = ch * bits // 8
-    data_bytes = signal.data.size * bits // 8
-    check_wav_size(signal.data.size, bits // 8)
-    check_wav_rate(signal.sample_rate_hz, block_align)
-    peak = signal._peak
-    if fmt == "float32" and peak >= _FLOAT32_OVERFLOW:
-        raise ValueError(f"a sample of magnitude {peak:g} is beyond float32's range")
-    saturate = fmt == "pcm16" and peak > 1.0
-    if saturate:
-        warnings.warn("samples outside [-1, 1] are saturated in pcm16 export")
-
-    header = struct.pack(
-        "<4sIHHIIHH", b"fmt ", 16, 1 if fmt == "pcm16" else 3, ch,
-        signal.sample_rate_hz, signal.sample_rate_hz * block_align, block_align, bits,
-    )
+    _, write = wav_writer(signal.sample_rate_hz, signal.channels, signal.num_samples, fmt)
     if fmt == "float32":
-        header += struct.pack("<4sII", b"fact", 4, signal.num_samples)
-    header += struct.pack("<4sI", b"data", data_bytes)
+        _check_float32(signal._peak)
+    elif signal._peak > 1.0:
+        warnings.warn("samples outside [-1, 1] are saturated in pcm16 export")
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI4s", b"RIFF", 4 + len(header) + data_bytes, b"WAVE"))
-        fh.write(header)
-        for cols in frame_blocks(signal.num_samples, ch * signal.data.itemsize):
-            frames = signal.data[:, cols].T  # interleaved: frames x channels
-            fh.write(_pcm16(frames, saturate) if fmt == "pcm16" else frames.astype("<f4", order="C"))
+        write(fh, (signal.data[:, cols] for cols in frame_blocks(signal.num_samples, 8 * signal.channels)))
 
 
-def _pcm16(frames: np.ndarray, saturate: bool) -> np.ndarray:
-    """Frames quantized to little-endian int16, through one float64 copy scaled in place."""
+def _pcm16(frames: np.ndarray) -> np.ndarray:
+    """Frames saturated at +-1 and quantized to little-endian int16, through one float64 copy scaled in place."""
     block = np.array(frames, order="C")
-    if saturate:
-        np.clip(block, -1.0, 1.0, out=block)
+    np.clip(block, -1.0, 1.0, out=block)
     block *= _PCM16_SCALE
     return np.round(block, out=block).astype("<i2")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..signals import Signal, _rng, frozen
+from ..signals import Signal, _rng, frame_blocks, frozen
 from .wavelets import LiftingParams, WaveletFilters, cascade_analysis, cascade_synthesis
 
 NO_OVERLAP = "no-overlap"
@@ -30,7 +30,7 @@ PARTIAL_OVERLAP = "partial-overlap"
 _TILE = 1 << 15
 
 
-def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int) -> np.ndarray:
+def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, out=None) -> np.ndarray:
     """Rows of x (C, K), zero-inserted by m and filtered by h, cropped to [start, start+length).
 
     The full output has M*(K+T-1) samples per row, T = ceil(len(h)/M): with
@@ -43,7 +43,8 @@ def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int) ->
     never swaps its arguments where the whole-row call would not, and each
     sample is the same dot product over the same memory as in one
     whole-row call: the result is bit-identical to it. It is a fresh
-    read-only (C, length) array that Signal takes over. All-zero branches
+    read-only (C, length) array that Signal takes over, or else `out`, a
+    zeroed (C, length) array written in place. All-zero branches
     (M-1 of stretch's M) are left at zero instead of convolved. Every
     sample is summed from +0.0, so a -0.0 input sample comes out +0.0.
     """
@@ -53,7 +54,9 @@ def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int) ->
     # (j, b_j, first, stop): rows [first, stop) of y are the ones with qM + j in the window
     live = [(j, branches[j], -(-(start - j) // m), -(-(start + length - j) // m))
             for j in np.flatnonzero(branches.any(axis=1))]
-    out = np.zeros((x.shape[0], length))
+    fresh = out is None
+    if fresh:
+        out = np.zeros((x.shape[0], length))
     q_lo = min((first for _, _, first, _ in live), default=0)
     q_hi = max((stop for _, _, _, stop in live), default=0)
     rows = max(1, _TILE // m if k >= t else q_hi - q_lo)  # a row shorter than T is convolved once
@@ -68,7 +71,7 @@ def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int) ->
                     lo, hi = (0, k) if k < t else (min(lo, k - t), max(hi, t))
                 n0 = qa * m + j - start
                 out[c, n0 : n0 + (qb - qa) * m : m] = np.convolve(x[c, lo:hi], b)[qa - lo : qb - lo]
-    return frozen(out)
+    return frozen(out) if fresh else out
 
 
 def _check_factor(m: int) -> int:
@@ -268,22 +271,88 @@ def largest_array(spec: UpsamplerSpec, channels: int, num_samples: int) -> int:
     return channels * max(window(m, n, num_samples)[1], m * (num_samples + -(-n // m) - 1))
 
 
-def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
-    """Run the configured layer on a signal: one polyphase kernel call per level of layer_filter."""
-    data = x.data
-    for m, h, start, length, divisor in layer_filter(spec, x.num_samples, x.padded):
+def _window(x: np.ndarray, levels: list, a: int, b: int, out=None) -> np.ndarray:
+    """Columns [a, b) of the last level's output, `levels` being layer_filter's levels run on x.
+
+    One level without a divisor is one windowed kernel call on the whole of
+    x. A chained or divided level has one-tap branches (a wavelet level), so
+    its output column n is a multiple of input sample (start + n) // M
+    alone: the window computes only the input columns it needs, the
+    previous level's window or a slice of x, and divides only those.
+    """
+    *inner, (m, h, start, _, divisor) = levels
+    if inner or divisor is not None:
+        lo, hi = (start + a) // m, (start + b - 1) // m + 1
+        x = _window(x, inner, lo, hi) if inner else x[:, lo:hi]
         if divisor is not None:
-            data = data / divisor
-        data = _polyphase(data, h, m, start, length)
-    return Signal(data, spec.factor * x.sample_rate_hz)
+            with np.errstate(over="ignore"):  # an inf is refused as a non-finite sample
+                x = x / divisor
+        a, b = a - m * lo, b - m * lo
+    return _polyphase(x, h, m, start + a, b - a, out)
+
+
+def _blocks(x: np.ndarray, levels: list, out=None):
+    """The last level's output in consecutive (C, cols) blocks of about BLOCK_BYTES of float64.
+
+    Each block is a window (see _window), bit-identical to the same columns
+    of the whole output. With `out`, a zeroed (C, length) array, each block
+    is written into its columns.
+    """
+    for cols in frame_blocks(levels[-1][3], 8 * x.shape[0]):
+        yield _window(x, levels, cols.start, cols.stop, None if out is None else out[:, cols])
+
+
+def apply_blocks(spec: UpsamplerSpec, x: Signal) -> tuple:
+    """(output rate, output length, blocks): apply(spec, x) one block of output columns at a time.
+
+    The sizes come from layer_filter before any output is computed; the
+    blocks are fresh float64 (C, cols) arrays of about BLOCK_BYTES each,
+    not checked to be finite. Besides x, no array larger than a block is
+    made, the wavelet cascade's first level included.
+    """
+    levels = list(layer_filter(spec, x.num_samples, x.padded))
+    return spec.factor * x.sample_rate_hz, levels[-1][3], _blocks(x.data, levels)
+
+
+def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
+    """Run the configured layer on a signal: apply_blocks' blocks, each written into one output array."""
+    levels = list(layer_filter(spec, x.num_samples, x.padded))
+    out = np.zeros((x.channels, levels[-1][3]))
+    for _ in _blocks(x.data, levels, out):
+        pass
+    return Signal(frozen(out), spec.factor * x.sample_rate_hz)
+
+
+def wavelet_roundtrip_blocks(spec: UpsamplerSpec, x: Signal) -> tuple:
+    """(rate, length, blocks): wavelet_roundtrip(spec, x) one block of columns at a time.
+
+    Analysis and synthesis are local to each group of 2**levels samples, so
+    each block starts at a multiple of that and makes the round trip on its
+    own; only the last block can be odd, and it pads and trims as the whole
+    signal does.
+    """
+    if spec.kind not in WAVELET_KINDS:
+        raise ValueError(f"round trip is defined for wavelet kinds, not {spec.kind!r}")
+    group, k = 2**spec.wavelet_levels, x.num_samples
+
+    def blocks():
+        for cols in frame_blocks(-(-k // group), 8 * group * x.channels):
+            part = Signal(x.data[:, group * cols.start : group * cols.stop], x.sample_rate_hz)
+            coarse, details = cascade_analysis(part, spec.wavelet_base, spec.wavelet_levels, spec.lifting)
+            yield cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting).data
+
+    return x.sample_rate_hz, k, blocks()
 
 
 def wavelet_roundtrip(spec: UpsamplerSpec, x: Signal) -> Signal:
-    """Analysis followed by synthesis at the spec's cascade depth (same rate)."""
-    if spec.kind not in WAVELET_KINDS:
-        raise ValueError(f"round trip is defined for wavelet kinds, not {spec.kind!r}")
-    coarse, details = cascade_analysis(x, spec.wavelet_base, spec.wavelet_levels, spec.lifting)
-    return cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting)
+    """Analysis followed by synthesis at the spec's cascade depth (same rate): the blocks of
+    wavelet_roundtrip_blocks, collected."""
+    rate, k, blocks = wavelet_roundtrip_blocks(spec, x)
+    out, col = np.empty((x.channels, k)), 0
+    for block in blocks:
+        out[:, col : col + block.shape[1]] = block
+        col += block.shape[1]
+    return Signal(frozen(out), rate)
 
 
 def _check_filters(filters: np.ndarray, in_channels: int) -> np.ndarray:

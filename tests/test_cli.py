@@ -234,7 +234,7 @@ class TestUpsample:
         src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 8000)
         out = tmp_path / "big.wav"
         monkeypatch.setattr(sig, "MAX_WAV_DATA_BYTES", 4 * 1000)
-        monkeypatch.setattr(cli, "apply", lambda spec, x: pytest.fail("apply ran before the size check"))
+        monkeypatch.setattr(cli, "apply_blocks", lambda spec, x: pytest.fail("apply_blocks ran before the size check"))
         argv = ["upsample", "--in", str(src), "--out", str(out), *map(str, layer)]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -260,7 +260,7 @@ class TestUpsample:
             "error: sample rate 4800000000 Hz at 4 bytes per frame exceeds the WAV header's 32-bit byte rate"
         ]
         assert not out.exists()
-        monkeypatch.setattr(cli, "apply", lambda spec, x: pytest.fail("apply ran before the rate check"))
+        monkeypatch.setattr(cli, "apply_blocks", lambda spec, x: pytest.fail("apply_blocks ran before the rate check"))
         assert cli.main(list(map(str, argv))) == 2
         assert not out.exists()
 
