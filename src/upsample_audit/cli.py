@@ -10,6 +10,7 @@ and failed allocations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -110,27 +111,17 @@ def _spec_from_args(args) -> UpsamplerSpec:
 
 
 def _check_target(path: str, flag: str) -> None:
-    """Refuse an existing path that is not a regular file, since os.replace would put a file in its place."""
+    """Refuse an existing path that is not a regular file, as signals.replacing does, naming the flag."""
     if os.path.exists(path) and not os.path.isfile(path):
         raise ValueError(f"{flag} {path} is not a regular file")
-
-
-def _float32_blocks(blocks):
-    """The blocks, each refused unless finite and within float32's range, from one min and max each."""
-    for block in blocks:
-        peak = max(block.max(), -block.min())  # NaN carries through both, and +-inf shows up in one
-        if not np.isfinite(peak):
-            raise ValueError("signal samples must be finite")
-        sig._check_float32(peak)
-        yield block
 
 
 def cmd_upsample(args) -> int:
     """Stream the output to the WAV file one block of columns at a time, so it is never whole.
 
-    The file is written to a temporary file beside the target (a symlink's
-    target) and moved into place once every block has passed its checks,
-    so a refusal found while writing leaves no file behind.
+    signals.write_wav_blocks checks each block as it writes it, into a file
+    that replaces the target only once every block has passed, so a refusal
+    found while writing leaves no file behind.
     """
     spec = _spec_from_args(args)
     _check_target(args.out, "--out")
@@ -141,25 +132,7 @@ def cmd_upsample(args) -> int:
         sig.check_wav_size(largest_array(spec, signal.channels, signal.num_samples))
         sig.check_wav_rate(spec.factor * signal.sample_rate_hz, 4 * signal.channels)
         rate, length, blocks = apply_blocks(spec, signal)
-    size, write = sig.wav_writer(rate, signal.channels, length)
-    target = os.path.realpath(args.out)
-    tmp = f"{target}.{os.getpid()}.tmp"
-    made = None
-    try:
-        with open(tmp, "xb") as fh:
-            made = tmp
-            if hasattr(os, "posix_fallocate"):
-                # Allocated up front, the file has no delayed allocation left to
-                # flush when it is renamed over an existing one (ext4 does so).
-                os.posix_fallocate(fh.fileno(), 0, size)
-            write(fh, _float32_blocks(blocks))
-        os.replace(tmp, target)
-        made = None
-    except OSError as exc:  # named by the user's path, not the temporary file's
-        raise OSError(exc.errno, exc.strerror, args.out) from None
-    finally:
-        if made is not None:
-            os.remove(made)
+    sig.write_wav_blocks(args.out, rate, signal.channels, length, blocks)
     print(_json_line({
         "schema": 1,
         "command": "upsample",
@@ -296,10 +269,10 @@ def _finite_blocks(blocks):
 def cmd_analyze(args) -> int:
     """Stream the input WAV file to the exports, so neither the signal nor the spectrogram is ever whole.
 
-    The CSV goes to a temporary file beside its target and is moved into
-    place once the report is made, so a refusal found during or after the
-    pass (non-finite samples, cancelling channels, the report's checks)
-    leaves no file behind.
+    The CSV is written through signals.replacing and moved into place once
+    the report is made, so a refusal found during or after the pass
+    (non-finite samples, cancelling channels, the report's checks) leaves
+    no file behind.
     """
     if (args.fs_in is None) != (args.factor is None):
         raise ValueError("replica prediction requires both --fs-in and --factor")
@@ -307,22 +280,20 @@ def cmd_analyze(args) -> int:
     path = getattr(args, "in")
     rate, channels, num_samples, _ = sig.wav_blocks(path)
     bins = args.stft_size // 2 + 1
-    csv = tmp = None
     artifacts = None
 
     def mono():
         return ana._mono(_finite_blocks(sig.wav_blocks(path)[3]), channels)
 
-    def exports(frames):
-        nonlocal csv, tmp
-        if args.csv:
-            _check_target(args.csv, "--csv")
-            name = f"{args.csv}.{os.getpid()}.tmp"
-            csv = open(name, "xb")
-            tmp = name
-        return _Exports(frames, bins, csv, bool(args.pgm))
+    with contextlib.ExitStack() as outputs:
 
-    try:
+        def exports(frames):
+            csv = None
+            if args.csv:
+                _check_target(args.csv, "--csv")
+                csv = outputs.enter_context(sig.replacing(args.csv))
+            return _Exports(frames, bins, csv, bool(args.pgm))
+
         spect, spectrum = ana._spectrogram_stream(
             mono, num_samples, rate, args.stft_size, args.hop, args.window, exports, args.fs_in is not None
         )
@@ -338,15 +309,6 @@ def cmd_analyze(args) -> int:
                 "tonal_detected": bool(report.tonal_detected),
                 "filtering_detected": bool(report.filtering_detected),
             }
-        if csv is not None:
-            csv.close()
-            os.replace(tmp, args.csv)
-            tmp = None
-    finally:
-        if csv is not None:
-            csv.close()
-        if tmp is not None:
-            os.remove(tmp)
     if args.pgm:
         spect.write_pgm(args.pgm)
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,16 +74,14 @@ class Signal:
     (see `frozen`); any other input (writeable, a view, non-contiguous,
     another dtype) is copied, so later writes through it cannot reach the
     signal. Every sample is checked to be finite either way, from the
-    data's min and max, and the peak |sample| they give is kept for
-    write_wav. `padded` marks a signal whose final sample is a zero appended
-    by a wavelet analysis step on odd-length input, so the matching
-    synthesis step can trim it.
+    data's min and max (`_all_finite`). `padded` marks a signal whose final
+    sample is a zero appended by a wavelet analysis step on odd-length
+    input, so the matching synthesis step can trim it.
     """
 
     data: np.ndarray
     sample_rate_hz: int
-    padded: bool = field(default=False)
-    _peak: float = field(init=False, compare=False, repr=False)
+    padded: bool = False
 
     def __post_init__(self):
         arr = readonly_float64(self.data)
@@ -92,14 +91,11 @@ class Signal:
             raise ValueError(f"signal data must be 1D or 2D, got ndim={arr.ndim}")
         if arr.shape[1] == 0:
             raise ValueError("signal must contain at least one sample")
-        # NaN carries through min and max, and +-inf shows up in one of them.
-        peak = max(arr.max(), -arr.min()) if arr.size else 0.0
-        if not np.isfinite(peak):
+        if not _all_finite(arr):
             raise ValueError("signal samples must be finite")
         if int(self.sample_rate_hz) <= 0:
             raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "_peak", peak)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 
     @property
@@ -183,23 +179,48 @@ def check_wav_rate(sample_rate_hz: int, frame_bytes: int = 4) -> None:
         )
 
 
-def _check_float32(peak: float) -> None:
-    """Refuse samples of peak magnitude `peak` that float32 would round to infinity."""
-    if peak >= _FLOAT32_OVERFLOW:
-        raise ValueError(f"a sample of magnitude {peak:g} is beyond float32's range")
+@contextmanager
+def replacing(path):
+    """Open `<realpath>.<pid>.tmp` to replace `path` when the block exits, or be removed if it raises.
+
+    So `path` (a symlink's target) is written whole or not at all. An
+    existing `path` that is not a regular file (a directory, a FIFO, a
+    device) is refused with ValueError and left untouched. An OSError from
+    opening or moving the file names `path`; one raised inside the block
+    keeps its own.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"{os.fspath(path)} is not a regular file")
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
-def wav_writer(sample_rate_hz: int, channels: int, num_samples: int, fmt: str = "float32") -> tuple:
-    """Check the fields of a WAV header; return the file's size in bytes and write(fh, blocks), its writer.
+def write_wav_blocks(
+    path, sample_rate_hz: int, channels: int, num_samples: int, blocks, fmt: str = "float32"
+) -> None:
+    """Write float64 (channels, cols) blocks, num_samples columns in all, through `replacing` as one WAV file.
 
     A format other than pcm16 and float32, more than two channels, a data
     chunk over MAX_WAV_DATA_BYTES or a rate check_wav_rate refuses raises
-    ValueError at the call, so a caller can refuse before it opens its
-    file. write(fh, blocks) writes the header to the open binary file fh,
-    then each float64 (channels, cols) block of `blocks`, interleaved and
-    converted one block at a time, so it holds one block's bytes; the
-    blocks hold num_samples columns in all. pcm16 saturates at +-1; the
-    samples are not checked.
+    ValueError before any file is opened. The file is allocated whole first
+    (ext4 would otherwise flush a delayed allocation at the rename). Each
+    block is scanned once, by its min and max, then converted on its own: a
+    non-finite sample, or for float32 one that would round to +-inf, raises
+    ValueError and leaves no file; for pcm16 a sample beyond +-1 warns once.
     """
     if fmt not in ("pcm16", "float32"):
         raise ValueError(f"unsupported format {fmt!r}, expected 'pcm16' or 'float32'")
@@ -220,31 +241,33 @@ def wav_writer(sample_rate_hz: int, channels: int, num_samples: int, fmt: str = 
     header += struct.pack("<4sI", b"data", data_bytes)
     header = struct.pack("<4sI4s", b"RIFF", 4 + len(header) + data_bytes, b"WAVE") + header
 
-    def write(fh, blocks) -> None:
+    with replacing(path) as fh:
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(fh.fileno(), 0, len(header) + data_bytes)
         fh.write(header)
+        warned = False
         for block in blocks:
+            peak = max(block.max(), -block.min())  # NaN carries through both, and +-inf shows up in one
+            if not np.isfinite(peak):
+                raise ValueError("signal samples must be finite")
+            if fmt == "float32" and peak >= _FLOAT32_OVERFLOW:
+                raise ValueError(f"a sample of magnitude {peak:g} is beyond float32's range")
+            if fmt == "pcm16" and peak > 1.0 and not warned:
+                warnings.warn("samples outside [-1, 1] are saturated in pcm16 export")
+                warned = True
             frames = block.T  # interleaved: frames x channels
             fh.write(_pcm16(frames) if fmt == "pcm16" else frames.astype("<f4", order="C"))
 
-    return len(header) + data_bytes, write
-
 
 def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
-    """Write a Signal as a RIFF/WAVE file.
+    """Write a Signal as a RIFF/WAVE file, its columns one block of frames at a time (see write_wav_blocks).
 
     float32 is lossless for float32-representable samples. pcm16 quantizes
     with symmetric scale 32767; samples outside [-1, 1] are saturated with
-    a warning. What wav_writer refuses, or a float32 sample that would round
-    to infinity, raises ValueError before the file is opened. The file is
-    written by wav_writer one block of frames at a time.
+    a warning.
     """
-    _, write = wav_writer(signal.sample_rate_hz, signal.channels, signal.num_samples, fmt)
-    if fmt == "float32":
-        _check_float32(signal._peak)
-    elif signal._peak > 1.0:
-        warnings.warn("samples outside [-1, 1] are saturated in pcm16 export")
-    with open(path, "wb") as fh:
-        write(fh, (signal.data[:, cols] for cols in frame_blocks(signal.num_samples, 8 * signal.channels)))
+    blocks = (signal.data[:, cols] for cols in frame_blocks(signal.num_samples, 8 * signal.channels))
+    write_wav_blocks(path, signal.sample_rate_hz, signal.channels, signal.num_samples, blocks, fmt)
 
 
 def _pcm16(frames: np.ndarray) -> np.ndarray:

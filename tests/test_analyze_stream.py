@@ -174,6 +174,35 @@ def test_csv_that_is_no_regular_file_is_refused(tmp_path, capsys):
     assert os.listdir(tmp_path / "s.csv") == []
 
 
+def test_a_csv_in_a_missing_directory_is_named_by_its_own_path(tmp_path, monkeypatch, capsys):
+    _write(tmp_path / "in.wav", _noise(1, N, seed=6))
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["analyze", "--in", "in.wav", "--report", "r.json", "--csv", "nodir/x.csv"])
+    assert (code, capsys.readouterr().err.splitlines()) == (
+        2, ["error: [Errno 2] No such file or directory: 'nodir/x.csv'"]
+    )
+    assert sorted(os.listdir(tmp_path)) == ["in.wav"]
+
+
+def test_a_read_error_during_the_pass_names_the_input_and_leaves_no_csv(tmp_path, monkeypatch, capsys):
+    # The CSV is open when the input fails, and the error keeps the input's
+    # path: only opening and moving the CSV's own file are named by --csv.
+    src = tmp_path / "in.wav"
+    _write(src, _noise(1, N, seed=7))
+    monkeypatch.setattr(sig, "BLOCK_BYTES", 4096)  # several read blocks
+    wav_data = sig._wav_data
+
+    def failing(path, header, out=None):
+        blocks = wav_data(path, header, out)
+        yield next(blocks)
+        raise OSError(5, "Input/output error", str(path))
+
+    monkeypatch.setattr(sig, "_wav_data", failing)
+    code, captured, _ = _analyze(capsys, src, tmp_path)
+    assert (code, captured.err.splitlines()) == (2, [f"error: [Errno 5] Input/output error: '{src}'"])
+    assert sorted(os.listdir(tmp_path)) == ["in.wav"]
+
+
 @pytest.mark.parametrize("agreeing, refused", [(99, True), (100, False), (101, False)])
 def test_cancellation_boundary_with_sums_split_into_blocks(tmp_path, monkeypatch, capsys, agreeing, refused):
     # Left is all ones; right is minus one but for `agreeing` samples of plus

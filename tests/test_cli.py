@@ -111,6 +111,13 @@ class TestGenerate:
         assert "beyond float32's range" in proc.stderr
         assert not out.exists()
 
+    def test_a_directory_as_out_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "adir"
+        out.mkdir()
+        assert cli.main(["generate", "--kind", "ones", "--n", "8", "--fs", "8000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {out} is not a regular file"]
+        assert out.is_dir() and list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
 
 class TestUpsample:
     def test_stretch_quadruples_the_rate(self, tmp_path):

@@ -2,6 +2,8 @@
 WAV writer against a one-shot encoding, and the memory bounds of apply, WAV
 I/O and the streamed upsample command on stereo input of 200,001 samples at x4."""
 
+import os
+import stat
 import struct
 import tracemalloc
 import warnings
@@ -120,7 +122,7 @@ class TestStreamedWriter:
             sig.write_wav(path, x, fmt)
         assert path.read_bytes() == _one_shot_wav(x, fmt)
 
-    def test_pcm16_saturation_warns_once_before_the_file_is_opened(self, tmp_path):
+    def test_pcm16_saturation_warns_once_and_an_error_filter_leaves_no_file(self, tmp_path):
         x = sig.Signal(np.full((2, 3 * _frames_per_block(2)), 1.5), 8000)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -131,19 +133,31 @@ class TestStreamedWriter:
             warnings.simplefilter("error")
             with pytest.raises(UserWarning, match="saturated"):
                 sig.write_wav(path, x, "pcm16")
-        assert not path.exists()
+        assert sorted(os.listdir(tmp_path)) == ["a.wav"]
 
+    def test_float32_overflow_in_a_later_block_leaves_an_existing_file_as_it_was(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sig, "BLOCK_BYTES", 64)  # blocks of 8 mono frames
+        data = np.zeros(40)
+        data[-1] = 1e300
+        path = tmp_path / "x.wav"
+        path.write_bytes(b"earlier contents")
+        passed = []
+        blocks = sig.frame_blocks
+        monkeypatch.setattr(sig, "frame_blocks", lambda *a: (passed.append(c) or c for c in blocks(*a)))
+        with pytest.raises(ValueError, match="a sample of magnitude 1e\\+300 is beyond float32's range"):
+            sig.write_wav(path, sig.Signal(data, 8000))
+        assert len(passed) == 5  # the refusal came in the last block, after four were written
+        assert path.read_bytes() == b"earlier contents"
+        assert os.listdir(tmp_path) == ["x.wav"]
 
-    def test_the_peak_comes_from_the_signal_scan(self, tmp_path):
-        # Signal keeps the peak |sample| of its finiteness scan and write_wav
-        # reads it, so a float32 or pcm16 export scans the samples once.
-        x = sig.Signal(np.array([[0.5, -2.0, 1.0]]), 8000)
-        assert x._peak == 2.0 and "_peak" not in repr(x)
-        object.__setattr__(x, "_peak", 0.5)  # a second scan would see 2.0 and warn of saturation
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sig.write_wav(tmp_path / "x.wav", x, "pcm16")
-        assert caught == []
+    @pytest.mark.parametrize("make", [os.mkdir, os.mkfifo], ids=["directory", "fifo"])
+    def test_a_target_that_is_no_regular_file_is_refused_and_left_alone(self, tmp_path, make):
+        path = tmp_path / "x.wav"
+        make(path)
+        with pytest.raises(ValueError, match=f"^{path} is not a regular file$"):
+            sig.write_wav(path, sig.ones(8, 8000))
+        assert os.listdir(tmp_path) == ["x.wav"]
+        assert path.is_dir() if make is os.mkdir else stat.S_ISFIFO(path.stat().st_mode)
 
 
 def _spec(kind, factor):

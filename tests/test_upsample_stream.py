@@ -42,13 +42,18 @@ def test_refusals_found_while_writing_leave_no_file(tmp_path, monkeypatch, capsy
     if existing:
         out.write_bytes(b"earlier contents")
     monkeypatch.setattr(sig, "BLOCK_BYTES", 64)
-    passed = []
-    checked = cli._float32_blocks
-    monkeypatch.setattr(cli, "_float32_blocks", lambda blocks: (passed.append(b) or b for b in checked(blocks)))
+    made = []
+    apply_blocks = cli.apply_blocks
+
+    def counted(*args):
+        rate, length, blocks = apply_blocks(*args)
+        return rate, length, (made.append(b) or b for b in blocks)
+
+    monkeypatch.setattr(cli, "apply_blocks", counted)
     code = _upsample(src, out, "--layer", "wavelet-lifting", "--P", 0, "--U", 0, "--A", 1e-300, *flags)
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [message]
-    assert len(passed) > 1
+    assert len(made) > 1  # the refused block came after one was written
     assert _leftovers(tmp_path, {"in.wav", "out.wav"}) == []
     if existing:
         assert out.read_bytes() == b"earlier contents"
