@@ -119,20 +119,21 @@ def _check_target(path: str, flag: str) -> None:
 def cmd_upsample(args) -> int:
     """Stream the output to the WAV file one block of columns at a time, so it is never whole.
 
-    signals.write_wav_blocks checks each block as it writes it, into a file
-    that replaces the target only once every block has passed, so a refusal
-    found while writing leaves no file behind.
+    signals.write_wav_blocks fills each block straight into the file's
+    float32 frames and checks it as it writes it, into a file that replaces
+    the target only once every block has passed, so a refusal found while
+    writing leaves no file behind.
     """
     spec = _spec_from_args(args)
     _check_target(args.out, "--out")
     signal = sig.read_wav(getattr(args, "in"))
     if args.wavelet_mode == "roundtrip":
-        rate, length, blocks = wavelet_roundtrip_blocks(spec, signal)
+        rate, _, blocks = wavelet_roundtrip_blocks(spec, signal)
     else:
         sig.check_wav_size(largest_array(spec, signal.channels, signal.num_samples))
         sig.check_wav_rate(spec.factor * signal.sample_rate_hz, 4 * signal.channels)
-        rate, length, blocks = apply_blocks(spec, signal)
-    sig.write_wav_blocks(args.out, rate, signal.channels, length, blocks)
+        rate, _, blocks = apply_blocks(spec, signal)
+    sig.write_wav_blocks(args.out, rate, blocks)
     print(_json_line({
         "schema": 1,
         "command": "upsample",
@@ -237,11 +238,13 @@ class _Exports:
             if self.img is not None:
                 self.img[::-1, rows.start + part.start : rows.start + part.stop] = _gray_levels(db[part]).T
 
-    def write_pgm(self, path) -> None:
-        """8-bit binary PGM of the image."""
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{self.img.shape[1]} {self.img.shape[0]}\n255\n".encode("ascii"))
-            fh.write(self.img.data)
+    def write_pgm(self, path, outputs: contextlib.ExitStack) -> None:
+        """8-bit binary PGM of the image, through signals.replacing at its full size, moved into place
+        when `outputs` exits."""
+        header = f"P5\n{self.img.shape[1]} {self.img.shape[0]}\n255\n".encode("ascii")
+        fh = outputs.enter_context(sig.replacing(path, len(header) + self.img.nbytes))
+        fh.write(header)
+        fh.write(self.img.data)
 
 
 def _write_csv(path, matrix: np.ndarray) -> None:
@@ -255,7 +258,8 @@ def _write_pgm(path, spectrogram: ana.Spectrogram) -> None:
     """8-bit binary PGM: dB in [-80, 0] mapped to [0, 255], bin 0 at the bottom row (see _Exports)."""
     exports = _Exports(spectrogram.num_frames, spectrogram.num_bins, pgm=True)
     exports[0 : spectrogram.num_frames] = spectrogram.magnitudes_db
-    exports.write_pgm(path)
+    with contextlib.ExitStack() as outputs:
+        exports.write_pgm(path, outputs)
 
 
 def _finite_blocks(blocks):
@@ -269,14 +273,18 @@ def _finite_blocks(blocks):
 def cmd_analyze(args) -> int:
     """Stream the input WAV file to the exports, so neither the signal nor the spectrogram is ever whole.
 
-    The CSV is written through signals.replacing and moved into place once
-    the report is made, so a refusal found during or after the pass
-    (non-finite samples, cancelling channels, the report's checks) leaves
-    no file behind.
+    The report, the CSV and the PGM are each written through
+    signals.replacing on one ExitStack and moved into place together once
+    all three are written, so a refusal found during or after the pass
+    (non-finite samples, cancelling channels, the report's checks, an
+    output that cannot be written) leaves none of them behind.
     """
     if (args.fs_in is None) != (args.factor is None):
         raise ValueError("replica prediction requires both --fs-in and --factor")
     _require_finite(args, "--threshold-db")
+    targets = [os.path.realpath(p) for p in (args.report, args.csv, args.pgm) if p]
+    if len(set(targets)) < len(targets):
+        raise ValueError("--report, --csv and --pgm must name different files")
     path = getattr(args, "in")
     rate, channels, num_samples, _ = sig.wav_blocks(path)
     bins = args.stft_size // 2 + 1
@@ -309,37 +317,37 @@ def cmd_analyze(args) -> int:
                 "tonal_detected": bool(report.tonal_detected),
                 "filtering_detected": bool(report.filtering_detected),
             }
-    if args.pgm:
-        spect.write_pgm(args.pgm)
-
-    body = {
-        "schema": 1,
-        "command": "analyze",
-        "config": {
-            "in": path,
-            "stft_size": args.stft_size,
-            "hop": args.hop,
-            "window": args.window,
-            "fs_in": args.fs_in,
-            "factor": args.factor,
-            "threshold_db": _round6(args.threshold_db),
-        },
-        "input": {
-            "sample_rate_hz": rate,
-            "channels": channels,
-            "num_samples": num_samples,
-        },
-        "spectrogram": {
-            "frames": spect.frames,
-            "bins": bins,
-            "csv": args.csv,
-            "pgm": args.pgm,
-        },
-        "artifacts": artifacts,
-    }
-    text = json.dumps(body, indent=2) + "\n"
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        if args.pgm:
+            _check_target(args.pgm, "--pgm")
+            spect.write_pgm(args.pgm, outputs)
+        body = {
+            "schema": 1,
+            "command": "analyze",
+            "config": {
+                "in": path,
+                "stft_size": args.stft_size,
+                "hop": args.hop,
+                "window": args.window,
+                "fs_in": args.fs_in,
+                "factor": args.factor,
+                "threshold_db": _round6(args.threshold_db),
+            },
+            "input": {
+                "sample_rate_hz": rate,
+                "channels": channels,
+                "num_samples": num_samples,
+            },
+            "spectrogram": {
+                "frames": spect.frames,
+                "bins": bins,
+                "csv": args.csv,
+                "pgm": args.pgm,
+            },
+            "artifacts": artifacts,
+        }
+        _check_target(args.report, "--report")
+        report_file = outputs.enter_context(sig.replacing(args.report))
+        report_file.write((json.dumps(body, indent=2) + "\n").encode("utf-8"))
     print(_json_line({"schema": 1, "command": "analyze", "report": args.report}))
     return 0
 

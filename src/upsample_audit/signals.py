@@ -5,7 +5,10 @@ from numpy's Philox bit generator, a counter-based PRNG whose stream is
 stable across numpy versions, so repeated calls are bit-identical.
 
 Samples are stored as 64-bit floats internally regardless of file format;
-WAV I/O converts at the boundary.
+WAV I/O converts at the boundary. A writer fills each block of an output
+(`Blocks`) straight into a buffer of the file's interleaved frames, float32
+frames taking numpy's cast at the store, so no float64 block is made
+between the producer and the file.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import struct
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -180,14 +184,16 @@ def check_wav_rate(sample_rate_hz: int, frame_bytes: int = 4) -> None:
 
 
 @contextmanager
-def replacing(path):
+def replacing(path, size: int = 0):
     """Open `<realpath>.<pid>.tmp` to replace `path` when the block exits, or be removed if it raises.
 
     So `path` (a symlink's target) is written whole or not at all. An
     existing `path` that is not a regular file (a directory, a FIFO, a
-    device) is refused with ValueError and left untouched. An OSError from
-    opening or moving the file names `path`; one raised inside the block
-    keeps its own.
+    device) is refused with ValueError and left untouched. A known `size`
+    is allocated whole first where the platform has posix_fallocate (ext4
+    would otherwise flush a delayed allocation at the rename). An OSError
+    from opening or moving the file names `path`; one raised inside the
+    block keeps its own.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         raise ValueError(f"{os.fspath(path)} is not a regular file")
@@ -199,6 +205,8 @@ def replacing(path):
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
+            if size and hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(fh.fileno(), 0, size)
             yield fh
         try:
             os.replace(tmp, target)
@@ -209,21 +217,68 @@ def replacing(path):
         raise
 
 
-def write_wav_blocks(
-    path, sample_rate_hz: int, channels: int, num_samples: int, blocks, fmt: str = "float32"
-) -> None:
-    """Write float64 (channels, cols) blocks, num_samples columns in all, through `replacing` as one WAV file.
+def store_rows(out: np.ndarray, block: np.ndarray) -> None:
+    """Store a (C, n) block into out one channel at a time: into the transposed view of a buffer of
+    frames, each row is one strided pass, where storing the whole block at once walks it in the frames' order."""
+    for row_out, row in zip(out, block):
+        row_out[...] = row
+
+
+@dataclass(frozen=True)
+class Blocks:
+    """A (channels, num_samples) output that is made one block of columns at a time.
+
+    `fill(out, cols)` stores columns `cols` (a slice) of the output into
+    `out`, a (channels, cols.stop - cols.start) array or view of any float
+    dtype, writing every element; a float32 `out` takes numpy's cast at the
+    store, which rounds as `astype` does. It is a pure function of `cols`,
+    so a block can be filled again. Blocks start at multiples of `group`
+    columns. Iterating yields each block as a fresh float64 array;
+    `collect` fills one whole array.
+    """
+
+    channels: int
+    num_samples: int
+    fill: Callable
+    group: int = 1
+
+    def slices(self):
+        """Consecutive column slices of about BLOCK_BYTES of float64 each, on multiples of group."""
+        g = self.group
+        for cols in frame_blocks(-(-self.num_samples // g), 8 * g * self.channels):
+            yield slice(g * cols.start, min(g * cols.stop, self.num_samples))
+
+    def __iter__(self):
+        for cols in self.slices():
+            block = np.empty((self.channels, cols.stop - cols.start))
+            self.fill(block, cols)
+            yield block
+
+    def collect(self) -> np.ndarray:
+        """The whole output as a fresh read-only float64 array, each block filled into its columns."""
+        out = np.empty((self.channels, self.num_samples))
+        for cols in self.slices():
+            self.fill(out[:, cols], cols)
+        return frozen(out)
+
+
+def write_wav_blocks(path, sample_rate_hz: int, blocks: Blocks, fmt: str = "float32") -> None:
+    """Write `blocks` through `replacing` as one WAV file, each block filled straight into a buffer of file frames.
 
     A format other than pcm16 and float32, more than two channels, a data
     chunk over MAX_WAV_DATA_BYTES or a rate check_wav_rate refuses raises
-    ValueError before any file is opened. The file is allocated whole first
-    (ext4 would otherwise flush a delayed allocation at the rename). Each
-    block is scanned once, by its min and max, then converted on its own: a
-    non-finite sample, or for float32 one that would round to +-inf, raises
-    ValueError and leaves no file; for pcm16 a sample beyond +-1 warns once.
+    ValueError before any file is opened. One buffer of interleaved frames,
+    as wide as the first (widest) block, takes every block through its
+    transposed view: float32 frames are the file's bytes, and pcm16 frames
+    are float64, quantized in place by _pcm16. Each block is scanned once,
+    by the min and max of its frames. float32 holds +-inf exactly where a
+    sample is non-finite or would round to +-inf, so a refused block is
+    filled again in float64 to name its peak; the refusal raises
+    ValueError and leaves no file. For pcm16 a sample beyond +-1 warns once.
     """
     if fmt not in ("pcm16", "float32"):
         raise ValueError(f"unsupported format {fmt!r}, expected 'pcm16' or 'float32'")
+    channels, num_samples = blocks.channels, blocks.num_samples
     if channels > 2:
         raise ValueError(f"only mono and stereo are supported, got {channels} channels")
     bits = 16 if fmt == "pcm16" else 32
@@ -241,22 +296,27 @@ def write_wav_blocks(
     header += struct.pack("<4sI", b"data", data_bytes)
     header = struct.pack("<4sI4s", b"RIFF", 4 + len(header) + data_bytes, b"WAVE") + header
 
-    with replacing(path) as fh:
-        if hasattr(os, "posix_fallocate"):
-            os.posix_fallocate(fh.fileno(), 0, len(header) + data_bytes)
+    with replacing(path, len(header) + data_bytes) as fh:
         fh.write(header)
-        warned = False
-        for block in blocks:
-            peak = max(block.max(), -block.min())  # NaN carries through both, and +-inf shows up in one
-            if not np.isfinite(peak):
+        buffer, warned = None, False
+        for cols in blocks.slices():
+            if buffer is None:
+                buffer = np.empty((cols.stop - cols.start, channels), "<f4" if fmt == "float32" else np.float64)
+            frames = buffer[: cols.stop - cols.start]
+            with np.errstate(over="ignore"):  # a sample beyond float32's range is stored as +-inf, refused below
+                blocks.fill(frames.T, cols)
+            peak = max(frames.max(), -frames.min())  # NaN carries through both, and +-inf shows up in one
+            if not np.isfinite(peak):  # either refusal: the float64 samples tell which
+                block = np.empty((channels, len(frames)))
+                blocks.fill(block, cols)
+                peak = max(block.max(), -block.min())
+                if np.isfinite(peak):
+                    raise ValueError(f"a sample of magnitude {peak:g} is beyond float32's range")
                 raise ValueError("signal samples must be finite")
-            if fmt == "float32" and peak >= _FLOAT32_OVERFLOW:
-                raise ValueError(f"a sample of magnitude {peak:g} is beyond float32's range")
             if fmt == "pcm16" and peak > 1.0 and not warned:
                 warnings.warn("samples outside [-1, 1] are saturated in pcm16 export")
                 warned = True
-            frames = block.T  # interleaved: frames x channels
-            fh.write(_pcm16(frames) if fmt == "pcm16" else frames.astype("<f4", order="C"))
+            fh.write(frames if fmt == "float32" else _pcm16(frames))
 
 
 def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
@@ -266,16 +326,15 @@ def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
     with symmetric scale 32767; samples outside [-1, 1] are saturated with
     a warning.
     """
-    blocks = (signal.data[:, cols] for cols in frame_blocks(signal.num_samples, 8 * signal.channels))
-    write_wav_blocks(path, signal.sample_rate_hz, signal.channels, signal.num_samples, blocks, fmt)
+    blocks = Blocks(signal.channels, signal.num_samples, lambda out, cols: store_rows(out, signal.data[:, cols]))
+    write_wav_blocks(path, signal.sample_rate_hz, blocks, fmt)
 
 
 def _pcm16(frames: np.ndarray) -> np.ndarray:
-    """Frames saturated at +-1 and quantized to little-endian int16, through one float64 copy scaled in place."""
-    block = np.array(frames, order="C")
-    np.clip(block, -1.0, 1.0, out=block)
-    block *= _PCM16_SCALE
-    return np.round(block, out=block).astype("<i2")
+    """float64 frames saturated at +-1 and quantized to little-endian int16, scaled in place."""
+    np.clip(frames, -1.0, 1.0, out=frames)
+    frames *= _PCM16_SCALE
+    return np.round(frames, out=frames).astype("<i2")
 
 
 def _wav_header(path) -> tuple:

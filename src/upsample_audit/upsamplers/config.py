@@ -8,7 +8,10 @@ the rectangular, triangular and windowed-sinc prototypes (DC gain M, so a
 constant input maps to itself); seeded random filters for transposed and
 subpixel; per wavelet cascade level, with the detail band at zero, the
 base's two-tap synthesis lowpass. `apply`, `largest_array` and the dense
-convolutions read the table. Overlap classification and the periodic
+convolutions read the table. `apply_blocks` and `wavelet_roundtrip_blocks`
+give a layer's output as `signals.Blocks`, filled a block at a time into
+any float view (the file's float32 frames when written, a float64 array
+when `apply` collects them). Overlap classification and the periodic
 shuffle, two more views of the convolution layers, close the module.
 """
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..signals import Signal, _rng, frame_blocks, frozen
+from ..signals import Blocks, Signal, _rng, frozen, store_rows
 from .wavelets import LiftingParams, WaveletFilters, cascade_analysis, cascade_synthesis
 
 NO_OVERLAP = "no-overlap"
@@ -44,32 +47,39 @@ def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, ou
     sample is the same dot product over the same memory as in one
     whole-row call: the result is bit-identical to it. It is a fresh
     read-only (C, length) array that Signal takes over, or else `out`, a
-    zeroed (C, length) array written in place. All-zero branches
-    (M-1 of stretch's M) are left at zero instead of convolved. Every
-    sample is summed from +0.0, so a -0.0 input sample comes out +0.0.
+    (C, length) array or view of any float dtype, every element of which
+    is written in place (a float32 view takes numpy's cast at the store).
+    All-zero branches (M-1 of stretch's M) store zeros in each tile instead
+    of being convolved. Every sample is summed from +0.0, so a -0.0 input sample
+    comes out +0.0.
     """
     k = x.shape[1]
     branches = np.pad(h, (0, -len(h) % m)).reshape(-1, m).T
     t = branches.shape[1]
-    # (j, b_j, first, stop): rows [first, stop) of y are the ones with qM + j in the window
-    live = [(j, branches[j], -(-(start - j) // m), -(-(start + length - j) // m))
-            for j in np.flatnonzero(branches.any(axis=1))]
+    # (j, b_j, first, stop): rows [first, stop) of y are the ones with qM + j in the window; b_j is
+    # None for an all-zero branch, whose rows are stored as zeros in the same tile, while it is in cache
+    nonzero = branches.any(axis=1).tolist()
+    parts = [(j, branches[j] if nonzero[j] else None, -(-(start - j) // m), -(-(start + length - j) // m))
+             for j in range(m)]
     fresh = out is None
     if fresh:
-        out = np.zeros((x.shape[0], length))
-    q_lo = min((first for _, _, first, _ in live), default=0)
-    q_hi = max((stop for _, _, _, stop in live), default=0)
+        out = np.empty((x.shape[0], length))
+    q_lo = min(first for _, _, first, _ in parts)
+    q_hi = max(stop for _, _, _, stop in parts)
     rows = max(1, _TILE // m if k >= t else q_hi - q_lo)  # a row shorter than T is convolved once
     for c in range(x.shape[0]):
         for q0 in range(q_lo, q_hi, rows):
-            for j, b, first, stop in live:
+            for j, b, first, stop in parts:
                 qa, qb = max(q0, first), min(q0 + rows, stop)
                 if qa >= qb:
+                    continue
+                n0 = qa * m + j - start
+                if b is None:
+                    out[c, n0 : n0 + (qb - qa) * m : m] = 0.0
                     continue
                 lo, hi = max(0, qa - t + 1), min(k, qb)
                 if hi - lo < t:
                     lo, hi = (0, k) if k < t else (min(lo, k - t), max(hi, t))
-                n0 = qa * m + j - start
                 out[c, n0 : n0 + (qb - qa) * m : m] = np.convolve(x[c, lo:hi], b)[qa - lo : qb - lo]
     return frozen(out) if fresh else out
 
@@ -291,68 +301,52 @@ def _window(x: np.ndarray, levels: list, a: int, b: int, out=None) -> np.ndarray
     return _polyphase(x, h, m, start + a, b - a, out)
 
 
-def _blocks(x: np.ndarray, levels: list, out=None):
-    """The last level's output in consecutive (C, cols) blocks of about BLOCK_BYTES of float64.
-
-    Each block is a window (see _window), bit-identical to the same columns
-    of the whole output. With `out`, a zeroed (C, length) array, each block
-    is written into its columns.
-    """
-    for cols in frame_blocks(levels[-1][3], 8 * x.shape[0]):
-        yield _window(x, levels, cols.start, cols.stop, None if out is None else out[:, cols])
-
-
 def apply_blocks(spec: UpsamplerSpec, x: Signal) -> tuple:
-    """(output rate, output length, blocks): apply(spec, x) one block of output columns at a time.
+    """(output rate, output length, blocks): apply(spec, x) as signals.Blocks, one block of output columns at a time.
 
-    The sizes come from layer_filter before any output is computed; the
-    blocks are fresh float64 (C, cols) arrays of about BLOCK_BYTES each,
-    not checked to be finite. Besides x, no array larger than a block is
-    made, the wavelet cascade's first level included.
+    The sizes come from layer_filter before any output is computed. Each
+    block is a window (see _window) written straight into the view it is
+    given, bit-identical to the same columns of the whole output and not
+    checked to be finite. Besides x, no array larger than a block is made,
+    the wavelet cascade's first level included.
     """
     levels = list(layer_filter(spec, x.num_samples, x.padded))
-    return spec.factor * x.sample_rate_hz, levels[-1][3], _blocks(x.data, levels)
+    length = levels[-1][3]
+    blocks = Blocks(x.channels, length, lambda out, cols: _window(x.data, levels, cols.start, cols.stop, out))
+    return spec.factor * x.sample_rate_hz, length, blocks
 
 
 def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
-    """Run the configured layer on a signal: apply_blocks' blocks, each written into one output array."""
-    levels = list(layer_filter(spec, x.num_samples, x.padded))
-    out = np.zeros((x.channels, levels[-1][3]))
-    for _ in _blocks(x.data, levels, out):
-        pass
-    return Signal(frozen(out), spec.factor * x.sample_rate_hz)
+    """Run the configured layer on a signal: apply_blocks' blocks, each filled into one output array."""
+    rate, _, blocks = apply_blocks(spec, x)
+    return Signal(blocks.collect(), rate)
 
 
 def wavelet_roundtrip_blocks(spec: UpsamplerSpec, x: Signal) -> tuple:
-    """(rate, length, blocks): wavelet_roundtrip(spec, x) one block of columns at a time.
+    """(rate, length, blocks): wavelet_roundtrip(spec, x) as signals.Blocks, one block of columns at a time.
 
     Analysis and synthesis are local to each group of 2**levels samples, so
     each block starts at a multiple of that and makes the round trip on its
     own; only the last block can be odd, and it pads and trims as the whole
-    signal does.
+    signal does. Each block's float64 result is stored into the view it is
+    given one channel at a time.
     """
     if spec.kind not in WAVELET_KINDS:
         raise ValueError(f"round trip is defined for wavelet kinds, not {spec.kind!r}")
-    group, k = 2**spec.wavelet_levels, x.num_samples
 
-    def blocks():
-        for cols in frame_blocks(-(-k // group), 8 * group * x.channels):
-            part = Signal(x.data[:, group * cols.start : group * cols.stop], x.sample_rate_hz)
-            coarse, details = cascade_analysis(part, spec.wavelet_base, spec.wavelet_levels, spec.lifting)
-            yield cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting).data
+    def fill(out, cols):
+        part = Signal(x.data[:, cols], x.sample_rate_hz)
+        coarse, details = cascade_analysis(part, spec.wavelet_base, spec.wavelet_levels, spec.lifting)
+        store_rows(out, cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting).data)
 
-    return x.sample_rate_hz, k, blocks()
+    return x.sample_rate_hz, x.num_samples, Blocks(x.channels, x.num_samples, fill, 2**spec.wavelet_levels)
 
 
 def wavelet_roundtrip(spec: UpsamplerSpec, x: Signal) -> Signal:
     """Analysis followed by synthesis at the spec's cascade depth (same rate): the blocks of
     wavelet_roundtrip_blocks, collected."""
-    rate, k, blocks = wavelet_roundtrip_blocks(spec, x)
-    out, col = np.empty((x.channels, k)), 0
-    for block in blocks:
-        out[:, col : col + block.shape[1]] = block
-        col += block.shape[1]
-    return Signal(frozen(out), rate)
+    rate, _, blocks = wavelet_roundtrip_blocks(spec, x)
+    return Signal(blocks.collect(), rate)
 
 
 def _check_filters(filters: np.ndarray, in_channels: int) -> np.ndarray:

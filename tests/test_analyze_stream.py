@@ -184,6 +184,37 @@ def test_a_csv_in_a_missing_directory_is_named_by_its_own_path(tmp_path, monkeyp
     assert sorted(os.listdir(tmp_path)) == ["in.wav"]
 
 
+@pytest.mark.parametrize("flag", ["--pgm", "--report"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_an_output_that_cannot_be_written_leaves_the_others_as_they_were(tmp_path, monkeypatch, capsys, flag,
+                                                                         existing):
+    # The report, the CSV and the PGM are moved into place together, so a
+    # PGM or report in a missing directory leaves no new CSV or other output.
+    _write(tmp_path / "in.wav", _noise(1, N, seed=8))
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        (tmp_path / "s.csv").write_bytes(b"earlier contents")
+    paths = {"--report": "r.json", "--csv": "s.csv", "--pgm": "s.pgm", flag: f"nodir/{flag[2:]}"}
+    code = cli.main(["analyze", "--in", "in.wav", *[part for item in paths.items() for part in item]])
+    assert (code, capsys.readouterr().err.splitlines()) == (
+        2, [f"error: [Errno 2] No such file or directory: '{paths[flag]}'"]
+    )
+    assert sorted(os.listdir(tmp_path)) == (["in.wav", "s.csv"] if existing else ["in.wav"])
+    assert not existing or (tmp_path / "s.csv").read_bytes() == b"earlier contents"
+
+
+def test_outputs_naming_one_file_are_refused(tmp_path, capsys):
+    src = tmp_path / "in.wav"
+    _write(src, _noise(1, N, seed=9))
+    (tmp_path / "link.csv").symlink_to(tmp_path / "r.json")
+    code = cli.main(["analyze", "--in", str(src), "--report", str(tmp_path / "r.json"),
+                     "--csv", str(tmp_path / "link.csv")])
+    assert (code, capsys.readouterr().err.splitlines()) == (
+        2, ["error: --report, --csv and --pgm must name different files"]
+    )
+    assert sorted(os.listdir(tmp_path)) == ["in.wav", "link.csv"]
+
+
 def test_a_read_error_during_the_pass_names_the_input_and_leaves_no_csv(tmp_path, monkeypatch, capsys):
     # The CSV is open when the input fails, and the error keeps the input's
     # path: only opening and moving the CSV's own file are named by --csv.

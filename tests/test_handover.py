@@ -253,9 +253,12 @@ class TestMemoryBounds:
         assert cli.main(argv) == 0  # the first command in a process also pays for one-time set-up
         code, peak = _traced_peak(cli.main, argv)
         assert code == 0
-        # The input signal and a few blocks of temporaries (3 to 6.3 measured),
+        # The input signal, one buffer of float32 frames (half a block) and the
+        # kernel's temporaries, 1.6 to 2.4 blocks measured; 5.5 for the round
+        # trip, which also holds a block's bands and synthesis output. That is
         # whatever the output's length: 98 blocks of float64 at x4, 391 at x16.
-        assert peak < stereo_in.data.nbytes + 8 * sig.BLOCK_BYTES
+        blocks = 6.5 if "roundtrip" in flags else 3
+        assert peak < stereo_in.data.nbytes + blocks * sig.BLOCK_BYTES
 
     @pytest.mark.parametrize(
         "make",
