@@ -57,6 +57,8 @@ def _require_finite(args, *flags) -> None:
 
 def cmd_generate(args) -> int:
     _require_finite(args, "--f0", "--amplitude")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     sig.check_wav_size(args.n)
     sig.check_wav_rate(args.fs)
     if args.kind == "noise":
@@ -88,11 +90,14 @@ def cmd_generate(args) -> int:
 
 def _spec_from_args(args) -> UpsamplerSpec:
     _require_finite(args, "--P", "--U", "--A")
+    triple = (args.P, args.U, args.A)
     lifting = None
     if args.layer == "wavelet-lifting":
-        if args.P is None or args.U is None or args.A is None:
+        if None in triple:
             raise ValueError("wavelet-lifting requires --P, --U and --A")
-        lifting = LiftingParams(args.P, args.U, args.A)
+        lifting = LiftingParams(*triple)
+    elif triple != (None, None, None):
+        raise ValueError(f"--P, --U and --A apply to wavelet-lifting layers only, not {args.layer}")
     factor = args.factor
     if factor is None:
         if args.layer == "transposed" and args.stride is not None:
@@ -128,12 +133,12 @@ def cmd_upsample(args) -> int:
     _check_target(args.out, "--out")
     signal = sig.read_wav(getattr(args, "in"))
     if args.wavelet_mode == "roundtrip":
-        rate, _, blocks = wavelet_roundtrip_blocks(spec, signal)
+        blocks = wavelet_roundtrip_blocks(spec, signal)
     else:
         sig.check_wav_size(largest_array(spec, signal.channels, signal.num_samples))
         sig.check_wav_rate(spec.factor * signal.sample_rate_hz, 4 * signal.channels)
-        rate, _, blocks = apply_blocks(spec, signal)
-    sig.write_wav_blocks(args.out, rate, blocks)
+        blocks = apply_blocks(spec, signal)
+    sig.write_wav_blocks(args.out, blocks)
     print(_json_line({
         "schema": 1,
         "command": "upsample",
@@ -149,7 +154,7 @@ def cmd_upsample(args) -> int:
         "seed": spec.seed,
         "wavelet_mode": args.wavelet_mode,
         "out": args.out,
-        "out_sample_rate_hz": rate,
+        "out_sample_rate_hz": blocks.sample_rate_hz,
     }))
     return 0
 
@@ -286,12 +291,12 @@ def cmd_analyze(args) -> int:
     if len(set(targets)) < len(targets):
         raise ValueError("--report, --csv and --pgm must name different files")
     path = getattr(args, "in")
-    rate, channels, num_samples, _ = sig.wav_blocks(path)
+    blocks = sig.wav_blocks(path)
     bins = args.stft_size // 2 + 1
     artifacts = None
 
     def mono():
-        return ana._mono(_finite_blocks(sig.wav_blocks(path)[3]), channels)
+        return ana._mono(_finite_blocks(blocks), blocks.channels)
 
     with contextlib.ExitStack() as outputs:
 
@@ -303,7 +308,8 @@ def cmd_analyze(args) -> int:
             return _Exports(frames, bins, csv, bool(args.pgm))
 
         spect, spectrum = ana._spectrogram_stream(
-            mono, num_samples, rate, args.stft_size, args.hop, args.window, exports, args.fs_in is not None
+            mono, blocks.num_samples, blocks.sample_rate_hz, args.stft_size, args.hop, args.window, exports,
+            args.fs_in is not None,
         )
         if spectrum is not None:
             report = ana.artifact_report(spectrum, args.fs_in, args.factor, threshold_db=args.threshold_db)
@@ -333,9 +339,9 @@ def cmd_analyze(args) -> int:
                 "threshold_db": _round6(args.threshold_db),
             },
             "input": {
-                "sample_rate_hz": rate,
-                "channels": channels,
-                "num_samples": num_samples,
+                "sample_rate_hz": blocks.sample_rate_hz,
+                "channels": blocks.channels,
+                "num_samples": blocks.num_samples,
             },
             "spectrogram": {
                 "frames": spect.frames,

@@ -1,14 +1,17 @@
-"""Test-signal generation and WAV file I/O.
+"""Signals, their block streams, test-signal generation and WAV file I/O.
 
 Every generator is a pure function of its arguments. Seeded generators draw
 from numpy's Philox bit generator, a counter-based PRNG whose stream is
 stable across numpy versions, so repeated calls are bit-identical.
 
 Samples are stored as 64-bit floats internally regardless of file format;
-WAV I/O converts at the boundary. A writer fills each block of an output
-(`Blocks`) straight into a buffer of the file's interleaved frames, float32
-frames taking numpy's cast at the store, so no float64 block is made
-between the producer and the file.
+WAV I/O converts at the boundary. A `Signal` is a whole waveform and
+`Blocks` its lazy form: a channel count, a length, a rate and a function
+that fills any block of columns into a view. `wav_blocks` is a file's
+Blocks, filled straight from its frames, and `read_wav` collects them into
+a Signal. `write_wav_blocks` fills each block straight into a buffer of
+the file's interleaved frames, float32 frames taking numpy's cast at the
+store, so no float64 block is made between the producer and the file.
 """
 
 from __future__ import annotations
@@ -119,6 +122,58 @@ class Signal:
         return self.data[index]
 
 
+def store_rows(out: np.ndarray, block: np.ndarray) -> None:
+    """Store a (C, n) block into out one channel at a time: into the transposed view of a buffer of
+    frames, each row is one strided pass, where storing the whole block at once walks it in the frames' order."""
+    for row_out, row in zip(out, block):
+        row_out[...] = row
+
+
+@dataclass(frozen=True)
+class Blocks:
+    """A (channels, num_samples) stream at sample_rate_hz, made one block of columns at a time: the lazy Signal.
+
+    `fill(out, cols)` stores columns `cols` (a slice) of the stream into
+    `out`, a (channels, cols.stop - cols.start) array or view of any float
+    dtype, writing every element; a float32 `out` takes numpy's cast at the
+    store, which rounds as `astype` does. It is a pure function of `cols`,
+    so a block can be filled again. Blocks start at multiples of `group`
+    columns. Iterating yields each block as a fresh float64 array, not
+    checked to be finite; `signal` fills one whole array into a Signal.
+    """
+
+    channels: int
+    num_samples: int
+    sample_rate_hz: int
+    fill: Callable
+    group: int = 1
+
+    @classmethod
+    def of(cls, signal: Signal) -> Blocks:
+        """A Signal's columns as Blocks, each block stored one channel at a time (see store_rows)."""
+        return cls(signal.channels, signal.num_samples, signal.sample_rate_hz,
+                   lambda out, cols: store_rows(out, signal.data[:, cols]))
+
+    def slices(self):
+        """Consecutive column slices of about BLOCK_BYTES of float64 each, on multiples of group."""
+        g = self.group
+        for cols in frame_blocks(-(-self.num_samples // g), 8 * g * self.channels):
+            yield slice(g * cols.start, min(g * cols.stop, self.num_samples))
+
+    def __iter__(self):
+        for cols in self.slices():
+            block = np.empty((self.channels, cols.stop - cols.start))
+            self.fill(block, cols)
+            yield block
+
+    def signal(self) -> Signal:
+        """The whole stream as a Signal, each block filled into the columns of one float64 array."""
+        out = np.empty((self.channels, self.num_samples))
+        for cols in self.slices():
+            self.fill(out[:, cols], cols)
+        return Signal(frozen(out), self.sample_rate_hz)
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
@@ -217,52 +272,7 @@ def replacing(path, size: int = 0):
         raise
 
 
-def store_rows(out: np.ndarray, block: np.ndarray) -> None:
-    """Store a (C, n) block into out one channel at a time: into the transposed view of a buffer of
-    frames, each row is one strided pass, where storing the whole block at once walks it in the frames' order."""
-    for row_out, row in zip(out, block):
-        row_out[...] = row
-
-
-@dataclass(frozen=True)
-class Blocks:
-    """A (channels, num_samples) output that is made one block of columns at a time.
-
-    `fill(out, cols)` stores columns `cols` (a slice) of the output into
-    `out`, a (channels, cols.stop - cols.start) array or view of any float
-    dtype, writing every element; a float32 `out` takes numpy's cast at the
-    store, which rounds as `astype` does. It is a pure function of `cols`,
-    so a block can be filled again. Blocks start at multiples of `group`
-    columns. Iterating yields each block as a fresh float64 array;
-    `collect` fills one whole array.
-    """
-
-    channels: int
-    num_samples: int
-    fill: Callable
-    group: int = 1
-
-    def slices(self):
-        """Consecutive column slices of about BLOCK_BYTES of float64 each, on multiples of group."""
-        g = self.group
-        for cols in frame_blocks(-(-self.num_samples // g), 8 * g * self.channels):
-            yield slice(g * cols.start, min(g * cols.stop, self.num_samples))
-
-    def __iter__(self):
-        for cols in self.slices():
-            block = np.empty((self.channels, cols.stop - cols.start))
-            self.fill(block, cols)
-            yield block
-
-    def collect(self) -> np.ndarray:
-        """The whole output as a fresh read-only float64 array, each block filled into its columns."""
-        out = np.empty((self.channels, self.num_samples))
-        for cols in self.slices():
-            self.fill(out[:, cols], cols)
-        return frozen(out)
-
-
-def write_wav_blocks(path, sample_rate_hz: int, blocks: Blocks, fmt: str = "float32") -> None:
+def write_wav_blocks(path, blocks: Blocks, fmt: str = "float32") -> None:
     """Write `blocks` through `replacing` as one WAV file, each block filled straight into a buffer of file frames.
 
     A format other than pcm16 and float32, more than two channels, a data
@@ -278,18 +288,18 @@ def write_wav_blocks(path, sample_rate_hz: int, blocks: Blocks, fmt: str = "floa
     """
     if fmt not in ("pcm16", "float32"):
         raise ValueError(f"unsupported format {fmt!r}, expected 'pcm16' or 'float32'")
-    channels, num_samples = blocks.channels, blocks.num_samples
+    channels, num_samples, rate = blocks.channels, blocks.num_samples, blocks.sample_rate_hz
     if channels > 2:
         raise ValueError(f"only mono and stereo are supported, got {channels} channels")
     bits = 16 if fmt == "pcm16" else 32
     block_align = channels * bits // 8
     data_bytes = num_samples * block_align
     check_wav_size(channels * num_samples, bits // 8)
-    check_wav_rate(sample_rate_hz, block_align)
+    check_wav_rate(rate, block_align)
 
     header = struct.pack(
         "<4sIHHIIHH", b"fmt ", 16, 1 if fmt == "pcm16" else 3, channels,
-        sample_rate_hz, sample_rate_hz * block_align, block_align, bits,
+        rate, rate * block_align, block_align, bits,
     )
     if fmt == "float32":
         header += struct.pack("<4sII", b"fact", 4, num_samples)
@@ -326,8 +336,7 @@ def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
     with symmetric scale 32767; samples outside [-1, 1] are saturated with
     a warning.
     """
-    blocks = Blocks(signal.channels, signal.num_samples, lambda out, cols: store_rows(out, signal.data[:, cols]))
-    write_wav_blocks(path, signal.sample_rate_hz, blocks, fmt)
+    write_wav_blocks(path, Blocks.of(signal), fmt)
 
 
 def _pcm16(frames: np.ndarray) -> np.ndarray:
@@ -337,11 +346,16 @@ def _pcm16(frames: np.ndarray) -> np.ndarray:
     return np.round(frames, out=frames).astype("<i2")
 
 
-def _wav_header(path) -> tuple:
-    """(sample rate, channels, samples per channel, sample dtype, data offset) of a WAV file.
+def wav_blocks(path) -> Blocks:
+    """A RIFF/WAVE file's samples as Blocks of float64, its header parsed at the call.
 
-    Only chunk headers are read. Raises ValueError on malformed headers or
-    unsupported codecs.
+    Accepts PCM 16-bit and IEEE float 32-bit, mono or stereo. Unknown
+    chunks are skipped; only chunk headers are read. Raises ValueError on
+    malformed headers or unsupported codecs. Each fill opens the file, reads
+    the frames of its columns and converts them straight into `out`, so a
+    reader holds one block of file bytes however long the file is. The
+    samples are not checked: a caller that needs them finite scans each
+    block, as Signal does.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -382,53 +396,23 @@ def _wav_header(path) -> tuple:
     count = size // dtype.itemsize
     if count == 0 or count % ch:
         raise ValueError(f"{path}: data chunk size does not match the channel count")
-    return rate, ch, count // ch, dtype, offset
 
-
-def _wav_data(path, header: tuple, out=None):
-    """The data chunk as float64 (channels, cols) blocks of about BLOCK_BYTES each.
-
-    Each block is converted straight from the file's interleaved frames into
-    channel rows: into out's columns if `out` is given, else into a fresh
-    C-contiguous array. The file is opened when the first block is asked for.
-    """
-    _, ch, n, dtype, offset = header
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        for cols in frame_blocks(n, 8 * ch):
+    def fill(out, cols):
+        with open(path, "rb") as fh:
+            fh.seek(offset + ch * dtype.itemsize * cols.start)
             frames = np.frombuffer(fh.read(ch * dtype.itemsize * (cols.stop - cols.start)), dtype=dtype)
-            block = np.empty((ch, cols.stop - cols.start)) if out is None else out[:, cols]
-            if dtype.kind == "i":
-                np.divide(frames.reshape(-1, ch).T, _PCM16_SCALE, out=block)
-            else:
-                block[...] = frames.reshape(-1, ch).T
-            yield block
+        if dtype.kind == "i":
+            np.divide(frames.reshape(-1, ch).T, _PCM16_SCALE, out=out)
+        else:
+            out[...] = frames.reshape(-1, ch).T
 
-
-def wav_blocks(path) -> tuple:
-    """Parse a RIFF/WAVE header; return (sample rate, channels, samples per channel, blocks).
-
-    The header is parsed at the call, with read_wav's checks and messages.
-    `blocks` yields the samples in order as C-contiguous float64 (channels,
-    cols) arrays of about BLOCK_BYTES each, so a reader holds a block however
-    long the file is. It opens the file when first iterated. The samples are
-    not checked: a caller that needs them finite scans each block.
-    """
-    header = _wav_header(path)
-    return (*header[:3], _wav_data(path, header))
+    return Blocks(ch, count // ch, rate, fill)
 
 
 def read_wav(path) -> Signal:
-    """Read a RIFF/WAVE file into a Signal (float64 samples).
+    """Read a RIFF/WAVE file into a Signal (float64 samples): wav_blocks(path).signal().
 
-    Accepts PCM 16-bit and IEEE float 32-bit, mono or stereo. Unknown
-    chunks are skipped. Raises ValueError on malformed headers or
-    unsupported codecs. The signal collects the blocks of wav_blocks: each
-    is converted straight into the signal's (channels, samples) array, so
-    besides the signal the reader holds one block of file bytes.
+    Each block is converted straight into the signal's (channels, samples)
+    array, so besides the signal the reader holds one block of file bytes.
     """
-    header = _wav_header(path)
-    data = np.empty(header[1:3])
-    for _ in _wav_data(path, header, data):
-        pass
-    return Signal(frozen(data), header[0])
+    return wav_blocks(path).signal()

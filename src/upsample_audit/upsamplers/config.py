@@ -9,9 +9,10 @@ constant input maps to itself); seeded random filters for transposed and
 subpixel; per wavelet cascade level, with the detail band at zero, the
 base's two-tap synthesis lowpass. `apply`, `largest_array` and the dense
 convolutions read the table. `apply_blocks` and `wavelet_roundtrip_blocks`
-give a layer's output as `signals.Blocks`, filled a block at a time into
-any float view (the file's float32 frames when written, a float64 array
-when `apply` collects them). Overlap classification and the periodic
+give a layer's output as `signals.Blocks`, which carry the output rate and
+length before any sample is computed and fill a block at a time into any
+float view (the file's float32 frames when written, a float64 array when
+`apply` collects them into a Signal). Overlap classification and the periodic
 shuffle, two more views of the convolution layers, close the module.
 """
 
@@ -170,6 +171,13 @@ _FILTERS = {
 }
 KINDS = tuple(_FILTERS)
 WAVELET_KINDS = tuple(kind for kind in KINDS if kind.startswith("wavelet-"))
+# The kinds that use each optional UpsamplerSpec parameter.
+_PARAMETER_KINDS = {
+    "filter_length": ("transposed", "subpixel"),
+    "stride": ("transposed",),
+    "sinc_taps": ("sinc",),
+    "lifting": ("wavelet-lifting",),
+}
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,8 @@ class UpsamplerSpec:
     filter_length and stride with factor == stride (the stride is what
     raises the rate); subpixel layers require filter_length; sinc accepts
     an odd tap count of at least 4M+1 (default 8M+1); wavelet-lifting
-    requires a LiftingParams triple. seed feeds every random draw.
+    requires a LiftingParams triple. A parameter given to a kind that does
+    not use it is refused. seed, non-negative, feeds every random draw.
     """
 
     kind: str
@@ -194,6 +203,9 @@ class UpsamplerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}, expected one of {KINDS}")
+        for name, kinds in _PARAMETER_KINDS.items():
+            if getattr(self, name) is not None and self.kind not in kinds:
+                raise ValueError(f"{name} applies to {' and '.join(kinds)} layers only, not {self.kind}")
         object.__setattr__(self, "factor", _check_factor(self.factor))
         if self.kind in WAVELET_KINDS and self.factor not in (2, 4):
             raise ValueError(f"wavelet layers support factor 2 or 4, got {self.factor}")
@@ -221,6 +233,8 @@ class UpsamplerSpec:
         if self.kind == "wavelet-lifting" and self.lifting is None:
             raise ValueError("wavelet-lifting layers require a LiftingParams triple")
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def wavelet_base(self) -> str:
@@ -301,29 +315,27 @@ def _window(x: np.ndarray, levels: list, a: int, b: int, out=None) -> np.ndarray
     return _polyphase(x, h, m, start + a, b - a, out)
 
 
-def apply_blocks(spec: UpsamplerSpec, x: Signal) -> tuple:
-    """(output rate, output length, blocks): apply(spec, x) as signals.Blocks, one block of output columns at a time.
+def apply_blocks(spec: UpsamplerSpec, x: Signal) -> Blocks:
+    """apply(spec, x) as signals.Blocks at M times x's rate, one block of output columns at a time.
 
-    The sizes come from layer_filter before any output is computed. Each
+    The length comes from layer_filter before any output is computed. Each
     block is a window (see _window) written straight into the view it is
     given, bit-identical to the same columns of the whole output and not
     checked to be finite. Besides x, no array larger than a block is made,
     the wavelet cascade's first level included.
     """
     levels = list(layer_filter(spec, x.num_samples, x.padded))
-    length = levels[-1][3]
-    blocks = Blocks(x.channels, length, lambda out, cols: _window(x.data, levels, cols.start, cols.stop, out))
-    return spec.factor * x.sample_rate_hz, length, blocks
+    return Blocks(x.channels, levels[-1][3], spec.factor * x.sample_rate_hz,
+                  lambda out, cols: _window(x.data, levels, cols.start, cols.stop, out))
 
 
 def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
     """Run the configured layer on a signal: apply_blocks' blocks, each filled into one output array."""
-    rate, _, blocks = apply_blocks(spec, x)
-    return Signal(blocks.collect(), rate)
+    return apply_blocks(spec, x).signal()
 
 
-def wavelet_roundtrip_blocks(spec: UpsamplerSpec, x: Signal) -> tuple:
-    """(rate, length, blocks): wavelet_roundtrip(spec, x) as signals.Blocks, one block of columns at a time.
+def wavelet_roundtrip_blocks(spec: UpsamplerSpec, x: Signal) -> Blocks:
+    """wavelet_roundtrip(spec, x) as signals.Blocks at x's rate, one block of columns at a time.
 
     Analysis and synthesis are local to each group of 2**levels samples, so
     each block starts at a multiple of that and makes the round trip on its
@@ -339,14 +351,13 @@ def wavelet_roundtrip_blocks(spec: UpsamplerSpec, x: Signal) -> tuple:
         coarse, details = cascade_analysis(part, spec.wavelet_base, spec.wavelet_levels, spec.lifting)
         store_rows(out, cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting).data)
 
-    return x.sample_rate_hz, x.num_samples, Blocks(x.channels, x.num_samples, fill, 2**spec.wavelet_levels)
+    return Blocks(x.channels, x.num_samples, x.sample_rate_hz, fill, 2**spec.wavelet_levels)
 
 
 def wavelet_roundtrip(spec: UpsamplerSpec, x: Signal) -> Signal:
     """Analysis followed by synthesis at the spec's cascade depth (same rate): the blocks of
     wavelet_roundtrip_blocks, collected."""
-    rate, _, blocks = wavelet_roundtrip_blocks(spec, x)
-    return Signal(blocks.collect(), rate)
+    return wavelet_roundtrip_blocks(spec, x).signal()
 
 
 def _check_filters(filters: np.ndarray, in_channels: int) -> np.ndarray:

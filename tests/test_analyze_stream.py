@@ -2,6 +2,7 @@
 whole signal, with read blocks that split frames and hops; refusals found
 during or after the pass; and its memory bound."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -221,14 +222,19 @@ def test_a_read_error_during_the_pass_names_the_input_and_leaves_no_csv(tmp_path
     src = tmp_path / "in.wav"
     _write(src, _noise(1, N, seed=7))
     monkeypatch.setattr(sig, "BLOCK_BYTES", 4096)  # several read blocks
-    wav_data = sig._wav_data
+    wav_blocks = sig.wav_blocks
 
-    def failing(path, header, out=None):
-        blocks = wav_data(path, header, out)
-        yield next(blocks)
-        raise OSError(5, "Input/output error", str(path))
+    def failing(path):
+        blocks = wav_blocks(path)
 
-    monkeypatch.setattr(sig, "_wav_data", failing)
+        def fill(out, cols):
+            if cols.start > 0:  # the second block
+                raise OSError(5, "Input/output error", str(path))
+            blocks.fill(out, cols)
+
+        return dataclasses.replace(blocks, fill=fill)
+
+    monkeypatch.setattr(sig, "wav_blocks", failing)
     code, captured, _ = _analyze(capsys, src, tmp_path)
     assert (code, captured.err.splitlines()) == (2, [f"error: [Errno 5] Input/output error: '{src}'"])
     assert sorted(os.listdir(tmp_path)) == ["in.wav"]

@@ -54,3 +54,42 @@ def test_negative_zero_comes_out_as_positive_zero(kind):
     x = Signal(np.full((2, K), -0.0), FS)
     y = apply(UpsamplerSpec(kind=kind, factor=M, **NEEDS.get(kind, ({}, []))[0]), x)
     assert not np.signbit(y.data).any()
+
+
+# Each optional layer flag, a value for it, the kinds that use it, and the
+# refusal on any other kind.
+STRAY = {
+    "--length": (LENGTH, ("transposed", "subpixel"), "filter_length applies to transposed and subpixel layers only"),
+    "--stride": (M, ("transposed",), "stride applies to transposed layers only"),
+    "--taps": (33, ("sinc",), "sinc_taps applies to sinc layers only"),
+    **{flag: (0.5, ("wavelet-lifting",), "--P, --U and --A apply to wavelet-lifting layers only")
+       for flag in ("--P", "--U", "--A")},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, flag", [(kind, flag) for kind in KINDS for flag, (_, kinds, _) in STRAY.items() if kind not in kinds]
+)
+def test_a_flag_the_layer_does_not_use_is_refused(kind, flag, stereo, tmp_path, capsys):
+    src, out = tmp_path / "in.wav", tmp_path / "out.wav"
+    write_wav(src, stereo)
+    value, _, message = STRAY[flag]
+    argv = ["upsample", "--in", src, "--out", out, "--layer", kind, "--factor", M, *NEEDS.get(kind, ({}, []))[1],
+            flag, value]
+    assert cli.main([str(arg) for arg in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}, not {kind}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    *(["upsample", "--layer", kind, "--factor", M, *NEEDS.get(kind, ({}, []))[1]] for kind in KINDS),
+    *(["generate", "--kind", kind, "--n", K, "--fs", FS, "--f0", 1000] for kind in ("noise", "ones", "tone")),
+], ids=lambda argv: " ".join(map(str, argv[:3])))
+def test_a_negative_seed_is_refused_by_name(argv, stereo, tmp_path, capsys):
+    src, out = tmp_path / "in.wav", tmp_path / "out.wav"
+    write_wav(src, stereo)
+    paths = ["--in", src, "--out", out] if argv[0] == "upsample" else ["--out", out]
+    assert cli.main([str(arg) for arg in [*argv, *paths, "--seed", -1]]) == 2
+    flag = "--seed" if argv[0] == "generate" else "seed"
+    assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be non-negative, got -1"]
+    assert not out.exists()

@@ -49,13 +49,13 @@ def test_refusals_found_while_writing_leave_no_file(tmp_path, monkeypatch, capsy
     apply_blocks = cli.apply_blocks
 
     def counted(*args):
-        rate, length, blocks = apply_blocks(*args)
+        blocks = apply_blocks(*args)
 
         def fill(out, cols):
             filled.append(cols)
             return blocks.fill(out, cols)
 
-        return rate, length, dataclasses.replace(blocks, fill=fill)
+        return dataclasses.replace(blocks, fill=fill)
 
     monkeypatch.setattr(cli, "apply_blocks", counted)
     code = _upsample(src, out, "--layer", "wavelet-lifting", "--P", 0, "--U", 0, "--A", 1e-300, *flags)
@@ -119,8 +119,7 @@ def _unchecked(data, rate=8000):
 _LATER_BLOCK_WRITERS = {
     "kernel": lambda x: apply_blocks(UpsamplerSpec("sinc", 2), x),
     "roundtrip": lambda x: wavelet_roundtrip_blocks(UpsamplerSpec("wavelet-haar", 4), x),
-    "write_wav": lambda x: (x.sample_rate_hz, x.num_samples, sig.Blocks(
-        x.channels, x.num_samples, lambda out, cols: sig.store_rows(out, x.data[:, cols]))),
+    "write_wav": sig.Blocks.of,
 }
 
 
@@ -132,7 +131,7 @@ def test_a_later_block_beyond_float32_is_refused_with_its_float64_peak(tmp_path,
     data = np.zeros((2, 64))
     data[1, 53] = value
     x = _unchecked(data)
-    rate, _, blocks = _LATER_BLOCK_WRITERS[path](x)
+    blocks = _LATER_BLOCK_WRITERS[path](x)
     if np.isnan(value):
         message = "signal samples must be finite"
     else:  # named by the float64 peak of the first block that float32 cannot hold
@@ -152,7 +151,7 @@ def test_a_later_block_beyond_float32_is_refused_with_its_float64_peak(tmp_path,
             if path == "write_wav":
                 sig.write_wav(out, x)
             else:
-                sig.write_wav_blocks(out, rate, dataclasses.replace(blocks, fill=fill))
+                sig.write_wav_blocks(out, dataclasses.replace(blocks, fill=fill))
     assert caught == []
     assert str(refused.value).splitlines() == [message]
     assert path == "write_wav" or filled[0].start == 0 < filled[-1].start

@@ -54,13 +54,14 @@ def _round_trip(path, x, fmt, block_bytes):
         mp.setattr(sig, "BLOCK_BYTES", block_bytes)
         sig.write_wav(path, x, fmt=fmt)
         back = sig.read_wav(path)
-        rate, channels, samples, blocks = sig.wav_blocks(path)
-        blocks = list(blocks)
+        stream = sig.wav_blocks(path)
+        blocks = list(stream)
     assert back.data.shape == x.data.shape
     assert back.sample_rate_hz == x.sample_rate_hz
     # read_wav is the collection of wav_blocks' C-ordered blocks of at most BLOCK_BYTES of float64.
-    assert (rate, channels, samples) == (x.sample_rate_hz, x.channels, x.num_samples)
-    frames_per_block = max(1, block_bytes // (8 * channels))
+    assert (stream.sample_rate_hz, stream.channels, stream.num_samples) == (
+        x.sample_rate_hz, x.channels, x.num_samples)
+    frames_per_block = max(1, block_bytes // (8 * x.channels))
     assert all(b.flags.c_contiguous and b.shape[1] <= frames_per_block for b in blocks)
     assert np.concatenate(blocks, axis=1).tobytes() == back.data.tobytes()
     return back
@@ -107,7 +108,7 @@ def test_mutated_bytes_give_a_signal_or_a_value_error(wav_path, valid_wavs, kind
     except ValueError as exc:
         x, error = None, str(exc)
     try:
-        blocks = np.concatenate(list(sig.wav_blocks(wav_path)[3]), axis=1)
+        blocks = np.concatenate(list(sig.wav_blocks(wav_path)), axis=1)
     except ValueError as exc:
         # wav_blocks refuses a file with read_wav's header message.
         assert x is None and str(exc) == error
@@ -174,8 +175,8 @@ def test_streamed_upsample_writes_the_bytes_of_the_whole_output(tmp_path_factory
             assert not out.exists()
         else:
             assert code == 0 and out.read_bytes() == ref.read_bytes()
-            rate, length, blocks = (wavelet_roundtrip_blocks if roundtrip else apply_blocks)(spec, x)
-            blocks = list(blocks)
-            assert (rate, length) == (whole.sample_rate_hz, whole.num_samples)
+            stream = (wavelet_roundtrip_blocks if roundtrip else apply_blocks)(spec, x)
+            blocks = list(stream)
+            assert (stream.sample_rate_hz, stream.num_samples) == (whole.sample_rate_hz, whole.num_samples)
             assert _same_bits(np.concatenate(blocks, axis=1), whole.data)
             assert max(b.shape[1] for b in blocks) <= max(1, block_bytes // (8 * x.channels)) * (4 if roundtrip else 1)
