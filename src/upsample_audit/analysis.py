@@ -2,16 +2,17 @@
 
 One STFT front end (_stft: windowed frames of a mono mixdown, |rFFT| per
 frame) feeds spectrogram and two estimator families, which average its
-frames differently on purpose. The front end streams: it takes mono
-samples in blocks of any size (a whole signal is one block, a WAV file
-read by analyze is many) and yields the frames in blocks of about
-BLOCK_BYTES, which each consumer writes or sums in turn, so besides its
-result an analysis holds a few blocks however long the signal is. The
-per-bin sums carry their running total as the first row of the next
-block's reduction, so they equal one sum over all frames bit for bit.
-spectrogram_and_average gives both views from one pass when the Hann hop
-divides window/2: the frames avg_spectrum would take are a subset of the
-spectrogram's, summed as they stream past.
+frames differently on purpose. The front end reads its input as
+signals.Blocks (a Signal's mixdown, or a WAV file read by analyze) and
+yields the frames in blocks of about BLOCK_BYTES, which each consumer
+writes or sums in turn, so besides its result an analysis holds a few
+blocks however long the signal is. Each frame block reads its own samples,
+so blocks can be computed apart. The per-bin sums carry their running
+total as the first row of the next block's reduction, so they equal one
+sum over all frames bit for bit. With the Hann window and a hop that
+divides window/2, _spectrogram_stream gives the spectrogram and the
+average from one pass: the frames avg_spectrum would take are a subset of
+the spectrogram's, summed as they stream past.
 
 * avg_spectrum averages per-frame STFT magnitudes (Hann, 50% overlap).
   It feeds the artifact metrics (tonal prominence, band attenuation),
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import BLOCK_BYTES, Signal, _all_finite, frame_blocks, frozen, readonly_float64, white_noise
+from .signals import BLOCK_BYTES, Blocks, Signal, _all_finite, frame_blocks, frozen, readonly_float64, white_noise
 from .upsamplers.config import WAVELET_KINDS, UpsamplerSpec, apply
 from .upsamplers.wavelets import LiftingParams, cascade_analysis, cascade_synthesis, detail_shapes
 
@@ -44,14 +45,18 @@ _MAG_FLOOR = 10.0 ** (DB_FLOOR / 20.0)
 
 _WINDOWS = {"hann": np.hanning, "rect": np.ones}
 
-def _stft(blocks, num_samples: int, window_size: int, hop: int, window: str = "hann") -> tuple:
-    """Check the framing of num_samples; return the window, the frame count and the blocks.
+def _stft(x: Blocks, window_size: int, hop: int, window: str = "hann") -> tuple:
+    """Check the framing of x; return the window, the frame count and the blocks of frames.
 
-    `blocks` holds the mono samples as consecutive 1-D arrays of any size (a
-    whole signal is one, sliced without a copy). The result yields (rows,
-    |rFFT| of those windowed frames) in frame order, carrying the
-    window_size - hop samples past the next frame's start over to the next
-    block; it reads the input to its end, so checks made on the way see all.
+    The result yields (rows, |rFFT| of those windowed frames) in frame
+    order. Each block reads its own samples [rows.start*hop, (rows.stop-1)*hop
+    + window_size) of x and mixes them down (_mono), so blocks can be
+    computed apart, in any order, each given a buffer for its windowed
+    frames; reads overlap by window_size - hop samples. After the last
+    block the tail past its frames is read too, so every sample is read
+    and checked, and channels that cancel are refused on energies each
+    block sums over its samples [rows.start*hop, rows.stop*hop), the tail
+    over the rest: each sample counts once.
     """
     if window_size < 2 or window_size & (window_size - 1):
         raise ValueError(f"window size must be a power of two, got {window_size}")
@@ -59,28 +64,32 @@ def _stft(blocks, num_samples: int, window_size: int, hop: int, window: str = "h
         raise ValueError(f"hop must be in [1, window_size], got {hop}")
     if window not in _WINDOWS:
         raise ValueError(f"unknown window {window!r}, expected one of {tuple(_WINDOWS)}")
-    if num_samples < window_size:  # before the window is built, so a huge window_size allocates nothing
-        raise ValueError(f"window of {window_size} samples exceeds signal length {num_samples}")
+    if x.num_samples < window_size:  # before the window is built, so a huge window_size allocates nothing
+        raise ValueError(f"window of {window_size} samples exceeds signal length {x.num_samples}")
     w = _WINDOWS[window](window_size)
     if not w.sum() > 0:
         raise ValueError(f"{window} window of {window_size} samples has no positive sum")
-    frames = (num_samples - window_size) // hop + 1
+    frames = (x.num_samples - window_size) // hop + 1
+    energies = np.zeros(x.channels + 1)
 
-    def stft_blocks(samples):
-        head, buf, start = None, np.empty(0), 0  # buf: the last block read, from sample `start` on
-        for rows in frame_blocks(frames, w.itemsize * window_size):
-            lo, stop = rows.start * hop - start, (rows.stop - 1) * hop + window_size - start
-            seg = buf[lo:stop] if lo >= 0 else np.concatenate((head[lo:], buf[:stop]))
-            while len(buf) < stop:  # read on; head keeps what later frames need of the samples before buf
-                head = seg[(rows.stop - rows.start) * hop :].copy()
-                start, stop, buf = start + len(buf), stop - len(buf), next(samples)
-                seg = np.concatenate((seg, buf[:stop])) if len(seg) else buf[:stop]
-            view = np.lib.stride_tricks.sliding_window_view(seg, window_size)
-            yield rows, np.abs(np.fft.rfft(view[::hop] * w, axis=1))
-        for _ in samples:
-            pass
+    def stft_block(rows, windowed):
+        """|rFFT| of frames `rows`, windowed into `windowed`, a buffer of at least as many frames."""
+        first, stop = rows.start * hop, (rows.stop - 1) * hop + window_size
+        seg = _mono(x.read(slice(first, stop)), energies, rows.stop * hop - first)
+        view = np.lib.stride_tricks.sliding_window_view(seg, window_size)[::hop]
+        return np.abs(np.fft.rfft(np.multiply(view, w, out=windowed[: len(view)]), axis=1))
 
-    return w, frames, stft_blocks(iter(blocks))
+    def stft_blocks():
+        slices = list(frame_blocks(frames, w.itemsize * window_size))
+        # One buffer of windowed frames for the pass: with a fresh block-sized array per block,
+        # glibc returns those pages and faults them in again block after block.
+        windowed = np.empty((max(rows.stop - rows.start for rows in slices), window_size))
+        for rows in slices:
+            yield rows, stft_block(rows, windowed)
+        _mono(x.read(slice(frames * hop, x.num_samples)), energies, x.num_samples)  # the tail
+        _refuse_cancelling(energies)
+
+    return w, frames, stft_blocks()
 
 
 def _sum_frames(blocks) -> np.ndarray:
@@ -105,31 +114,36 @@ def _to_db(magnitudes: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(magnitudes, _MAG_FLOOR))
 
 
-def _mono(blocks, channels: int):
-    """The channel mean of each (channels, cols) block (a view of the row if mono): analysis is mono.
+def _mono(block: np.ndarray, energies: np.ndarray, counted: int) -> np.ndarray:
+    """The channel mean of a (channels, cols) block (a view of its row if mono): analysis is mono.
 
-    Channels that cancel in the mean (mixdown energy more than 20 dB below
-    the mean channel energy) would read as silence, so they are refused
-    after the last block, on energies summed block by block.
+    Adds the energies of the block's first `counted` columns to `energies`,
+    the mixdown's and then each channel's, unless the block is mono.
     """
-    if channels == 1:
-        yield from (block[0] for block in blocks)
-        return
-    mix_energy, energies = 0.0, [0.0] * channels
-    for block in blocks:
-        mix = block.mean(axis=0)
-        mix_energy += np.dot(mix, mix)
-        energies = [e + np.dot(row, row) for e, row in zip(energies, block)]
-        yield mix
-    if mix_energy < 0.01 * (sum(energies) / channels):
+    if len(block) == 1:
+        return block[0]
+    mix = block.mean(axis=0)
+    energies += [np.dot(row[:counted], row[:counted]) for row in (mix, *block)]
+    return mix
+
+
+def _refuse_cancelling(energies: np.ndarray) -> None:
+    """Refuse channels that cancel in the mean (mixdown energy more than 20 dB below the mean channel
+    energy), which would read as silence."""
+    channels = len(energies) - 1
+    if energies[0] < 0.01 * (sum(energies[1:]) / channels):
         raise ValueError(
             f"the {channels} channels cancel in the mixdown: its energy is more than 20 dB below theirs"
         )
 
 
-def _mixdown(x: Signal) -> tuple:
-    """x's mono view as one block, refused at once if its channels cancel."""
-    return tuple(_mono((x.data,), x.channels))
+def _mixdown(x: Signal, trim: int = 0) -> Blocks:
+    """x's mono samples, less `trim` at each end, as Blocks over a view (of its row if mono), refused at
+    once if its channels cancel: before any framing check, and over every sample."""
+    energies = np.zeros(x.channels + 1)
+    mono = _mono(x.data, energies, x.num_samples)
+    _refuse_cancelling(energies)
+    return Blocks.over(frozen(mono[np.newaxis, trim : x.num_samples - trim]), x.sample_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -177,7 +191,10 @@ class Spectrogram:
 
 def spectrogram(x: Signal, window_size: int = 512, hop: int = 128, window: str = "hann") -> Spectrogram:
     """Magnitude STFT in dB. window_size must be a power of two, hop <= window_size."""
-    return _collect(x, window_size, hop, window, False)[0]
+    window_size, hop = int(window_size), int(hop)
+    db, _ = _spectrogram_stream(_mixdown(x), window_size, hop, window,
+                                lambda frames: np.empty((frames, window_size // 2 + 1)), False)
+    return Spectrogram(frozen(db), x.sample_rate_hz, window_size, hop, window)
 
 
 def _freeze_grid(spectrum) -> None:
@@ -218,7 +235,7 @@ class AveragedSpectrum:
 def avg_spectrum(x: Signal, window_size: int = 512) -> AveragedSpectrum:
     """Mean per-frame STFT magnitude: Hann window, 50% overlap, at least 16 frames."""
     window_size = int(window_size)
-    w, frames, blocks = _stft(_mixdown(x), x.num_samples, window_size, window_size // 2)
+    w, frames, blocks = _stft(_mixdown(x), window_size, window_size // 2)
     return _average(w, frames, blocks, x.sample_rate_hz, window_size // 2)[1]
 
 
@@ -245,47 +262,24 @@ def _average(w, frames: int, blocks, sample_rate_hz: int, hop: int, out=None) ->
     return db, AveragedSpectrum(_rfft_freqs(sample_rate_hz, w.size), mean_db, sample_rate_hz, averaged)
 
 
-def _spectrogram_stream(mono, num_samples: int, sample_rate_hz: int, window_size: int, hop: int, window: str,
-                        out, average: bool) -> tuple:
-    """(out(frames) given every `[rows] = dB` block of the spectrogram, the avg_spectrum if `average`).
+def _spectrogram_stream(x: Blocks, window_size: int, hop: int, window: str, out, average: bool) -> tuple:
+    """(out(frames) given every `[rows] = dB` block of x's spectrogram, the avg_spectrum if `average`).
 
-    Each mono() call starts a pass over the mono sample blocks (see _stft).
     With the Hann window and a hop that divides window_size/2 one pass
-    serves both; otherwise avg_spectrum's pass and errors come first.
+    serves both, and both equal the whole-array spectrogram and
+    avg_spectrum bit for bit; otherwise avg_spectrum's pass and errors
+    come first.
     """
     spectrum, half = None, window_size // 2
     if average and (window != "hann" or hop < 1 or half % hop):
-        _, spectrum = _average(*_stft(mono(), num_samples, window_size, half), sample_rate_hz, half)
-    w, frames, blocks = _stft(mono(), num_samples, window_size, hop, window)
+        _, spectrum = _average(*_stft(x, window_size, half), x.sample_rate_hz, half)
+    w, frames, blocks = _stft(x, window_size, hop, window)
     if average and spectrum is None:
-        return _average(w, frames, blocks, sample_rate_hz, hop, out)
+        return _average(w, frames, blocks, x.sample_rate_hz, hop, out)
     db = out(frames)
     for rows, mags in blocks:
         db[rows] = _to_db(mags / w.sum())
     return db, spectrum
-
-
-def spectrogram_and_average(
-    x: Signal, window_size: int = 512, hop: int = 128, window: str = "hann"
-) -> tuple:
-    """(spectrogram(x, window_size, hop, window), avg_spectrum(x, window_size)) from one STFT.
-
-    With the Hann window and a hop that divides window_size/2, every
-    avg_spectrum frame (hop window_size/2) is also a spectrogram frame, so
-    one pass writes the spectrogram and sums every (window_size/2 // hop)-th
-    frame; both arrays equal the two separate calls bit for bit. Any other
-    pairing makes the two calls. Errors are avg_spectrum's first, then
-    spectrogram's.
-    """
-    return _collect(x, window_size, hop, window, True)
-
-
-def _collect(x: Signal, window_size, hop, window: str, average: bool) -> tuple:
-    """The stream of x, as one block, collected into a Spectrogram (and an AveragedSpectrum)."""
-    window_size, hop = int(window_size), int(hop)
-    db, spectrum = _spectrogram_stream(lambda: _mixdown(x), x.num_samples, x.sample_rate_hz, window_size, hop,
-                                       window, lambda frames: np.empty((frames, window_size // 2 + 1)), average)
-    return Spectrogram(frozen(db), x.sample_rate_hz, window_size, hop, window), spectrum
 
 
 def average_spectra(spectra) -> AveragedSpectrum:
@@ -464,13 +458,12 @@ def measure_response(
             out = cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting)
         else:
             out = apply(spec, white_noise(n, fs_in, seed))
-        (samples,) = _mixdown(out)
-        if len(samples) <= 2 * _EDGE_TRIM + window_size:
+        trimmed = _mixdown(out, _EDGE_TRIM)
+        if out.num_samples <= 2 * _EDGE_TRIM + window_size:
             raise ValueError(
-                f"output too short for edge trimming: {len(samples)} samples; increase n"
+                f"output too short for edge trimming: {out.num_samples} samples; increase n"
             )
-        trimmed = len(samples) - 2 * _EDGE_TRIM
-        _, frames, blocks = _stft((samples[_EDGE_TRIM:-_EDGE_TRIM],), trimmed, window_size, window_size // 2)
+        _, frames, blocks = _stft(trimmed, window_size, window_size // 2)
         acc = acc + _sum_frames(mags ** 2 for _, mags in blocks)
         total_frames += frames
     db = 10.0 * np.log10(np.maximum(acc / total_frames, _POWER_FLOOR))

@@ -122,22 +122,25 @@ def _check_target(path: str, flag: str) -> None:
 
 
 def cmd_upsample(args) -> int:
-    """Stream the output to the WAV file one block of columns at a time, so it is never whole.
+    """Stream the input WAV file to the output one block of output columns at a time, so neither is whole.
 
-    signals.write_wav_blocks fills each block straight into the file's
-    float32 frames and checks it as it writes it, into a file that replaces
-    the target only once every block has passed, so a refusal found while
-    writing leaves no file behind.
+    Each block reads only the input columns it needs from the file
+    (signals.wav_blocks), refusing a non-finite one as it reads it, and
+    signals.write_wav_blocks fills the block straight into the file's
+    float32 frames and checks it as it writes it, into a file that
+    replaces the target only once every block has passed. So a refusal
+    found while writing leaves no file behind, and `--out` may name the
+    input, which is read until the output replaces it.
     """
     spec = _spec_from_args(args)
     _check_target(args.out, "--out")
-    signal = sig.read_wav(getattr(args, "in"))
+    source = sig.wav_blocks(getattr(args, "in"))
     if args.wavelet_mode == "roundtrip":
-        blocks = wavelet_roundtrip_blocks(spec, signal)
+        blocks = wavelet_roundtrip_blocks(spec, source)
     else:
-        sig.check_wav_size(largest_array(spec, signal.channels, signal.num_samples))
-        sig.check_wav_rate(spec.factor * signal.sample_rate_hz, 4 * signal.channels)
-        blocks = apply_blocks(spec, signal)
+        sig.check_wav_size(largest_array(spec, source.channels, source.num_samples))
+        sig.check_wav_rate(spec.factor * source.sample_rate_hz, 4 * source.channels)
+        blocks = apply_blocks(spec, source)
     sig.write_wav_blocks(args.out, blocks)
     print(_json_line({
         "schema": 1,
@@ -252,29 +255,6 @@ class _Exports:
         fh.write(self.img.data)
 
 
-def _write_csv(path, matrix: np.ndarray) -> None:
-    """Write `matrix` byte for byte as np.savetxt(path, matrix, fmt="%.6f", delimiter=",",
-    newline="\n") does, formatting one block of frames at a time (see _Exports)."""
-    with open(path, "wb") as fh:
-        _Exports(*matrix.shape, csv=fh)[0 : len(matrix)] = matrix
-
-
-def _write_pgm(path, spectrogram: ana.Spectrogram) -> None:
-    """8-bit binary PGM: dB in [-80, 0] mapped to [0, 255], bin 0 at the bottom row (see _Exports)."""
-    exports = _Exports(spectrogram.num_frames, spectrogram.num_bins, pgm=True)
-    exports[0 : spectrogram.num_frames] = spectrogram.magnitudes_db
-    with contextlib.ExitStack() as outputs:
-        exports.write_pgm(path, outputs)
-
-
-def _finite_blocks(blocks):
-    """The blocks, each checked to hold finite samples as it passes, as Signal checks a whole signal."""
-    for block in blocks:
-        if not sig._all_finite(block):
-            raise ValueError("signal samples must be finite")
-        yield block
-
-
 def cmd_analyze(args) -> int:
     """Stream the input WAV file to the exports, so neither the signal nor the spectrogram is ever whole.
 
@@ -282,34 +262,31 @@ def cmd_analyze(args) -> int:
     signals.replacing on one ExitStack and moved into place together once
     all three are written, so a refusal found during or after the pass
     (non-finite samples, cancelling channels, the report's checks, an
-    output that cannot be written) leaves none of them behind.
+    output that cannot be written) leaves none of them behind. Each frame
+    block of the pass reads its own samples from the file.
     """
     if (args.fs_in is None) != (args.factor is None):
         raise ValueError("replica prediction requires both --fs-in and --factor")
     _require_finite(args, "--threshold-db")
-    targets = [os.path.realpath(p) for p in (args.report, args.csv, args.pgm) if p]
-    if len(set(targets)) < len(targets):
+    targets = {flag: target for flag, target in (("--csv", args.csv), ("--pgm", args.pgm), ("--report", args.report))
+               if target}
+    if len({os.path.realpath(target) for target in targets.values()}) < len(targets):
         raise ValueError("--report, --csv and --pgm must name different files")
+    for flag, target in targets.items():  # before the input is read, as upsample checks --out
+        _check_target(target, flag)
     path = getattr(args, "in")
     blocks = sig.wav_blocks(path)
     bins = args.stft_size // 2 + 1
     artifacts = None
 
-    def mono():
-        return ana._mono(_finite_blocks(blocks), blocks.channels)
-
     with contextlib.ExitStack() as outputs:
 
         def exports(frames):
-            csv = None
-            if args.csv:
-                _check_target(args.csv, "--csv")
-                csv = outputs.enter_context(sig.replacing(args.csv))
+            csv = outputs.enter_context(sig.replacing(args.csv)) if args.csv else None
             return _Exports(frames, bins, csv, bool(args.pgm))
 
         spect, spectrum = ana._spectrogram_stream(
-            mono, blocks.num_samples, blocks.sample_rate_hz, args.stft_size, args.hop, args.window, exports,
-            args.fs_in is not None,
+            blocks, args.stft_size, args.hop, args.window, exports, args.fs_in is not None
         )
         if spectrum is not None:
             report = ana.artifact_report(spectrum, args.fs_in, args.factor, threshold_db=args.threshold_db)
@@ -324,7 +301,6 @@ def cmd_analyze(args) -> int:
                 "filtering_detected": bool(report.filtering_detected),
             }
         if args.pgm:
-            _check_target(args.pgm, "--pgm")
             spect.write_pgm(args.pgm, outputs)
         body = {
             "schema": 1,
@@ -351,7 +327,6 @@ def cmd_analyze(args) -> int:
             },
             "artifacts": artifacts,
         }
-        _check_target(args.report, "--report")
         report_file = outputs.enter_context(sig.replacing(args.report))
         report_file.write((json.dumps(body, indent=2) + "\n").encode("utf-8"))
     print(_json_line({"schema": 1, "command": "analyze", "report": args.report}))

@@ -7,11 +7,13 @@ stable across numpy versions, so repeated calls are bit-identical.
 Samples are stored as 64-bit floats internally regardless of file format;
 WAV I/O converts at the boundary. A `Signal` is a whole waveform and
 `Blocks` its lazy form: a channel count, a length, a rate and a function
-that fills any block of columns into a view. `wav_blocks` is a file's
-Blocks, filled straight from its frames, and `read_wav` collects them into
-a Signal. `write_wav_blocks` fills each block straight into a buffer of
-the file's interleaved frames, float32 frames taking numpy's cast at the
-store, so no float64 block is made between the producer and the file.
+that fills any block of columns into a view. Every stage reads its input
+as Blocks, any columns in any order: a Signal's Blocks read views of its
+data, and `wav_blocks`, a file's Blocks, fills each read straight from
+the file's frames. `read_wav` collects a file into a Signal.
+`write_wav_blocks` fills each block straight into a buffer of the file's
+interleaved frames, float32 frames taking numpy's cast at the store, so
+no float64 block is made between the producer and the file.
 """
 
 from __future__ import annotations
@@ -137,9 +139,13 @@ class Blocks:
     `out`, a (channels, cols.stop - cols.start) array or view of any float
     dtype, writing every element; a float32 `out` takes numpy's cast at the
     store, which rounds as `astype` does. It is a pure function of `cols`,
-    so a block can be filled again. Blocks start at multiples of `group`
-    columns. Iterating yields each block as a fresh float64 array, not
-    checked to be finite; `signal` fills one whole array into a Signal.
+    so a block can be filled again, and in any order. Blocks start at
+    multiples of `group` columns. `read(cols)` gives any columns as a
+    read-only float64 array: a view of `data`, the whole array of Blocks
+    made `over` one (a Signal's, by `of`), or else a fresh fill, checked to
+    be finite as Signal checks. Iterating yields each block as a fresh
+    float64 array, not checked; `signal` fills one whole array into a
+    Signal. `padded` carries a Signal's flag (see Signal).
     """
 
     channels: int
@@ -147,12 +153,30 @@ class Blocks:
     sample_rate_hz: int
     fill: Callable
     group: int = 1
+    padded: bool = False
+    data: np.ndarray | None = None
 
     @classmethod
-    def of(cls, signal: Signal) -> Blocks:
-        """A Signal's columns as Blocks, each block stored one channel at a time (see store_rows)."""
-        return cls(signal.channels, signal.num_samples, signal.sample_rate_hz,
-                   lambda out, cols: store_rows(out, signal.data[:, cols]))
+    def over(cls, data: np.ndarray, sample_rate_hz: int, padded: bool = False) -> Blocks:
+        """Blocks over a finite (channels, num_samples) float64 array, each block stored one channel at a
+        time (see store_rows) and each read a view."""
+        return cls(*data.shape, sample_rate_hz, lambda out, cols: store_rows(out, data[:, cols]),
+                   padded=padded, data=data)
+
+    @classmethod
+    def of(cls, x) -> Blocks:
+        """A Signal's columns as Blocks over its data, with its padded flag; Blocks are returned as they are."""
+        return x if isinstance(x, Blocks) else cls.over(x.data, x.sample_rate_hz, x.padded)
+
+    def read(self, cols: slice) -> np.ndarray:
+        """Columns `cols` as a read-only float64 array, refused if a fresh fill holds a non-finite sample."""
+        if self.data is not None:
+            return self.data[:, cols]
+        out = np.empty((self.channels, cols.stop - cols.start))
+        self.fill(out, cols)
+        if not _all_finite(out):
+            raise ValueError("signal samples must be finite")
+        return frozen(out)
 
     def slices(self):
         """Consecutive column slices of about BLOCK_BYTES of float64 each, on multiples of group."""
@@ -353,9 +377,8 @@ def wav_blocks(path) -> Blocks:
     chunks are skipped; only chunk headers are read. Raises ValueError on
     malformed headers or unsupported codecs. Each fill opens the file, reads
     the frames of its columns and converts them straight into `out`, so a
-    reader holds one block of file bytes however long the file is. The
-    samples are not checked: a caller that needs them finite scans each
-    block, as Signal does.
+    reader holds one block of file bytes however long the file is. Fills
+    are not checked; `read` checks each block it fills.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size

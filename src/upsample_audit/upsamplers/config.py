@@ -9,11 +9,13 @@ constant input maps to itself); seeded random filters for transposed and
 subpixel; per wavelet cascade level, with the detail band at zero, the
 base's two-tap synthesis lowpass. `apply`, `largest_array` and the dense
 convolutions read the table. `apply_blocks` and `wavelet_roundtrip_blocks`
-give a layer's output as `signals.Blocks`, which carry the output rate and
-length before any sample is computed and fill a block at a time into any
-float view (the file's float32 frames when written, a float64 array when
-`apply` collects them into a Signal). Overlap classification and the periodic
-shuffle, two more views of the convolution layers, close the module.
+read a layer's input as `signals.Blocks` and give its output as Blocks,
+which carry the output rate and length before any sample is computed and
+fill a block at a time into any float view (the file's float32 frames when
+written, a float64 array when `apply` collects them into a Signal), each
+block reading only the input columns it needs. Overlap classification and
+the periodic shuffle, two more views of the convolution layers, close the
+module.
 """
 
 from __future__ import annotations
@@ -295,38 +297,41 @@ def largest_array(spec: UpsamplerSpec, channels: int, num_samples: int) -> int:
     return channels * max(window(m, n, num_samples)[1], m * (num_samples + -(-n // m) - 1))
 
 
-def _window(x: np.ndarray, levels: list, a: int, b: int, out=None) -> np.ndarray:
+def _window(x: Blocks, levels: list, a: int, b: int, out=None) -> np.ndarray:
     """Columns [a, b) of the last level's output, `levels` being layer_filter's levels run on x.
 
-    One level without a divisor is one windowed kernel call on the whole of
-    x. A chained or divided level has one-tap branches (a wavelet level), so
-    its output column n is a multiple of input sample (start + n) // M
-    alone: the window computes only the input columns it needs, the
-    previous level's window or a slice of x, and divides only those.
+    Each level reads only the input columns its one kernel call needs: rows
+    q of its window and the T - 1 before them, widened as _polyphase widens
+    a tile (to T columns, or the whole row when K < T), so np.convolve gets
+    the operands, and the result the bits, of one call on the whole row.
+    Those columns are read from x, or are the previous level's window; a
+    divisor divides only them.
     """
     *inner, (m, h, start, _, divisor) = levels
-    if inner or divisor is not None:
-        lo, hi = (start + a) // m, (start + b - 1) // m + 1
-        x = _window(x, inner, lo, hi) if inner else x[:, lo:hi]
-        if divisor is not None:
-            with np.errstate(over="ignore"):  # an inf is refused as a non-finite sample
-                x = x / divisor
-        a, b = a - m * lo, b - m * lo
-    return _polyphase(x, h, m, start + a, b - a, out)
+    k, t = inner[-1][3] if inner else x.num_samples, -(-len(h) // m)
+    lo, hi = (start + a) // m - t + 1, (start + b - 1) // m + 1
+    lo, hi = (0, k) if k < t else (max(0, min(lo, k - t)), min(k, max(hi, t)))
+    cols = _window(x, inner, lo, hi) if inner else x.read(slice(lo, hi))
+    if divisor is not None:
+        with np.errstate(over="ignore"):  # an inf is refused as a non-finite sample
+            cols = cols / divisor
+    return _polyphase(cols, h, m, start + a - m * lo, b - a, out)
 
 
-def apply_blocks(spec: UpsamplerSpec, x: Signal) -> Blocks:
+def apply_blocks(spec: UpsamplerSpec, x) -> Blocks:
     """apply(spec, x) as signals.Blocks at M times x's rate, one block of output columns at a time.
 
-    The length comes from layer_filter before any output is computed. Each
-    block is a window (see _window) written straight into the view it is
-    given, bit-identical to the same columns of the whole output and not
-    checked to be finite. Besides x, no array larger than a block is made,
-    the wavelet cascade's first level included.
+    x is a Signal or the Blocks it is read from (a file's, say). The length
+    comes from layer_filter before any output is computed. Each block is a
+    window (see _window) written straight into the view it is given,
+    bit-identical to the same columns of the whole output and not checked
+    to be finite; it reads x's columns as it needs them, so besides a
+    Signal x no array larger than a block is made.
     """
+    x = Blocks.of(x)
     levels = list(layer_filter(spec, x.num_samples, x.padded))
     return Blocks(x.channels, levels[-1][3], spec.factor * x.sample_rate_hz,
-                  lambda out, cols: _window(x.data, levels, cols.start, cols.stop, out))
+                  lambda out, cols: _window(x, levels, cols.start, cols.stop, out))
 
 
 def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
@@ -334,21 +339,23 @@ def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
     return apply_blocks(spec, x).signal()
 
 
-def wavelet_roundtrip_blocks(spec: UpsamplerSpec, x: Signal) -> Blocks:
+def wavelet_roundtrip_blocks(spec: UpsamplerSpec, x) -> Blocks:
     """wavelet_roundtrip(spec, x) as signals.Blocks at x's rate, one block of columns at a time.
 
-    Analysis and synthesis are local to each group of 2**levels samples, so
-    each block starts at a multiple of that and makes the round trip on its
-    own; only the last block can be odd, and it pads and trims as the whole
+    x is a Signal or its Blocks. Analysis and synthesis are local to each
+    group of 2**levels samples, so each block starts at a multiple of that
+    and makes the round trip on its own columns of x, read into a Signal;
+    only the last block can be odd, and it pads and trims as the whole
     signal does. Each block's float64 result is stored into the view it is
     given one channel at a time.
     """
     if spec.kind not in WAVELET_KINDS:
         raise ValueError(f"round trip is defined for wavelet kinds, not {spec.kind!r}")
+    x = Blocks.of(x)
 
-    def fill(out, cols):
-        part = Signal(x.data[:, cols], x.sample_rate_hz)
-        coarse, details = cascade_analysis(part, spec.wavelet_base, spec.wavelet_levels, spec.lifting)
+    def fill(out, cols):  # the input block is held by no name, so it is freed before the synthesis
+        coarse, details = cascade_analysis(Signal(x.read(cols), x.sample_rate_hz), spec.wavelet_base,
+                                           spec.wavelet_levels, spec.lifting)
         store_rows(out, cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting).data)
 
     return Blocks(x.channels, x.num_samples, x.sample_rate_hz, fill, 2**spec.wavelet_levels)

@@ -2,6 +2,7 @@
 whole signal, with read blocks that split frames and hops; refusals found
 during or after the pass; and its memory bound."""
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -36,14 +37,13 @@ def _analyze(capsys, src, out_dir, *flags):
 
 
 def _reference(src, paths, stft_size, hop, window, fs_in, factor):
-    """The report, CSV and PGM bytes built from the whole signal: the library calls, then the writers."""
+    """The report, CSV and PGM bytes built from the whole signal: the library calls, then np.savetxt and
+    the image filled by cli._Exports."""
     x = sig.read_wav(src)
     artifacts = None
-    if fs_in is None:
-        view = ana.spectrogram(x, stft_size, hop, window)
-    else:
-        view, spectrum = ana.spectrogram_and_average(x, stft_size, hop, window)
-        report = ana.artifact_report(spectrum, fs_in, factor)
+    view = ana.spectrogram(x, stft_size, hop, window)
+    if fs_in is not None:
+        report = ana.artifact_report(ana.avg_spectrum(x, stft_size), fs_in, factor)
         artifacts = {
             "predicted_replicas_hz": [cli._round6(f) for f in report.predicted_replicas_hz],
             "tonal_peaks": [{"freq_hz": cli._round6(p.freq_hz), "prominence_db": cli._round6(p.prominence_db)}
@@ -54,8 +54,11 @@ def _reference(src, paths, stft_size, hop, window, fs_in, factor):
         }
     ref_dir = os.path.dirname(paths["r.json"]) + "-ref"
     os.makedirs(ref_dir)
-    cli._write_csv(os.path.join(ref_dir, "s.csv"), view.magnitudes_db)
-    cli._write_pgm(os.path.join(ref_dir, "s.pgm"), view)
+    np.savetxt(os.path.join(ref_dir, "s.csv"), view.magnitudes_db, fmt="%.6f", delimiter=",", newline="\n")
+    exports = cli._Exports(view.num_frames, view.num_bins, pgm=True)
+    exports[0 : view.num_frames] = view.magnitudes_db
+    with contextlib.ExitStack() as outputs:
+        exports.write_pgm(os.path.join(ref_dir, "s.pgm"), outputs)
     body = {
         "schema": 1,
         "command": "analyze",
@@ -154,7 +157,7 @@ def test_csv_over_its_own_input_reads_it_first(tmp_path, monkeypatch, capsys):
     src = tmp_path / "x.wav"
     _write(src, _noise(2, N, seed=4))
     x = sig.read_wav(src)
-    cli._write_csv(tmp_path / "want.csv", ana.spectrogram(x).magnitudes_db)
+    np.savetxt(tmp_path / "want.csv", ana.spectrogram(x).magnitudes_db, fmt="%.6f", delimiter=",", newline="\n")
     monkeypatch.setattr(sig, "BLOCK_BYTES", 4096)
     report = tmp_path / "r.json"
     assert cli.main(["analyze", "--in", str(src), "--report", str(report), "--csv", str(src)]) == 0
@@ -246,14 +249,14 @@ def test_cancellation_boundary_with_sums_split_into_blocks(tmp_path, monkeypatch
     # one spread over the file, so the mixdown energy is `agreeing` and the
     # mean channel energy 10,000, and both are exact sums however they are
     # split: on the 20 dB line (100) is kept, one sample below it is refused.
-    # The streamed CLI sums per read block, the library over whole rows.
+    # The streamed CLI sums per frame block, the library over whole rows.
     n = 10_000
     right = -np.ones(n)
     right[np.linspace(0, n - 1, agreeing).astype(int)] = 1.0
     x = sig.Signal(np.stack([np.ones(n), right]), RATE)
     src = tmp_path / "in.wav"
     sig.write_wav(src, x)
-    monkeypatch.setattr(sig, "BLOCK_BYTES", 8 * 777)  # reads of 777 frames
+    monkeypatch.setattr(sig, "BLOCK_BYTES", 8 * 777)  # frame blocks of one frame, so reads of 512 samples
     code, captured, _ = _analyze(capsys, src, tmp_path)
     library_refuses = False
     try:
@@ -262,6 +265,94 @@ def test_cancellation_boundary_with_sums_split_into_blocks(tmp_path, monkeypatch
         library_refuses = "cancel" in str(exc)
     assert (code == 2, library_refuses) == (refused, refused)
     assert ("cancel" in captured.err) == refused
+
+
+SEVEN_FRAMES = 7 * 8 * 512  # BLOCK_BYTES of frame blocks of 7 frames at the default STFT size
+
+
+def _on_the_line(agreeing):
+    """Left all ones, right minus one but for `agreeing` samples of plus one: mixdown energy `agreeing`,
+    mean channel energy 10,000, so 100 is on the 20 dB line and kept, 99 refused. With frame blocks of
+    SEVEN_FRAMES (896 samples of hops each) the agreeing samples sit past the first W - hop = 384 samples
+    of each block's hops, which the block before also reads, and before the tail [9600, 10000) past the
+    last frame: counting that overlap twice refuses 100, and skipping the tail keeps 99."""
+    right = -np.ones(10_000)
+    right[[896 * block + 384 + 51 * i for block in range(10) for i in range(10)][:agreeing]] = 1.0
+    return np.stack([np.ones(10_000), right])
+
+
+def _library_refusal(x):
+    try:
+        ana.spectrogram(x)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("agreeing", [99, 100])
+def test_cancellation_counts_each_sample_once(tmp_path, monkeypatch, capsys, agreeing):
+    src = tmp_path / "in.wav"
+    _write(src, _on_the_line(agreeing))
+    want = _library_refusal(sig.read_wav(src))
+    assert (want is not None) == (agreeing == 99)
+    monkeypatch.setattr(sig, "BLOCK_BYTES", SEVEN_FRAMES)
+    code, captured, _ = _analyze(capsys, src, tmp_path)
+    assert (code, captured.err.splitlines()) == ((0, []) if want is None else (2, [f"error: {want}"]))
+
+
+@pytest.mark.parametrize("agreeing", [None, 99, 100], ids=["noise", "refused", "kept"])
+def test_frame_blocks_in_reverse_order_equal_those_in_order(tmp_path, monkeypatch, agreeing):
+    # Each frame block reads its own samples, so the blocks can be computed
+    # in any order: the |rFFT| blocks are the same bits, and the refusal
+    # (its sums exact, so in any order) is the library's.
+    src = tmp_path / "in.wav"
+    _write(src, _noise(2, 10_000, seed=11) if agreeing is None else _on_the_line(agreeing))
+    x = sig.read_wav(src)
+    monkeypatch.setattr(sig, "BLOCK_BYTES", SEVEN_FRAMES)
+    results = []
+    for order in (list, reversed):
+        monkeypatch.setattr(ana, "frame_blocks", lambda *a: order(list(sig.frame_blocks(*a))))
+        w, frames, blocks = ana._stft(sig.wav_blocks(src), 512, 128)
+        mags, starts = np.full((frames, 257), np.nan), []
+        try:
+            for rows, block in blocks:
+                mags[rows] = block
+                starts.append(rows.start)
+            results.append(mags)
+        except ValueError as exc:
+            results.append(str(exc))
+        assert starts == sorted(starts, reverse=order is reversed) and len(starts) == 11
+    want = _library_refusal(x)
+    if want is None:
+        assert np.array_equal(results[0], results[1])
+        assert np.array_equal(ana._to_db(results[1] / w.sum()), ana.spectrogram(x).magnitudes_db)
+    else:
+        assert results == [want, want]
+
+
+@pytest.mark.parametrize("flag", ["--report", "--pgm"])
+def test_a_directory_as_report_or_pgm_is_refused_before_the_input_is_read(tmp_path, monkeypatch, capsys, flag):
+    src, target = tmp_path / "in.wav", tmp_path / "adir"
+    _write(src, _noise(1, N, seed=10))
+    target.mkdir()
+    fills = []
+    wav_blocks = sig.wav_blocks
+
+    def counted(path):
+        blocks = wav_blocks(path)
+
+        def fill(out, cols):
+            fills.append(cols)
+            return blocks.fill(out, cols)
+
+        return dataclasses.replace(blocks, fill=fill)
+
+    monkeypatch.setattr(sig, "wav_blocks", counted)
+    paths = {"--report": str(tmp_path / "r.json"), "--pgm": str(tmp_path / "s.pgm"), flag: str(target)}
+    code = cli.main(["analyze", "--in", str(src), *[part for item in paths.items() for part in item]])
+    assert (code, capsys.readouterr().err.splitlines()) == (2, [f"error: {flag} {target} is not a regular file"])
+    assert fills == []
+    assert sorted(os.listdir(tmp_path)) == ["adir", "in.wav"] and os.listdir(target) == []
 
 
 def _traced_peak(argv):
@@ -275,9 +366,9 @@ def _traced_peak(argv):
 
 def test_analyze_holds_its_image_and_a_few_blocks(tmp_path_factory, capsys):
     # Doubling the input doubles only the PGM image (one byte per frame and
-    # bin). The rest is a few blocks: two read blocks while the next one is
-    # read, the windowed frames and their rFFT, and a slice of export text
-    # (4.5 to 4.8 BLOCK_BYTES, mono or stereo).
+    # bin). The rest is a few blocks: one frame block's samples, the
+    # buffer of windowed frames, their rFFT, and a slice of export text
+    # (3.8 BLOCK_BYTES, mono or stereo).
     peaks, images = [], []
     for n in (1 << 21, 1 << 22):
         work = tmp_path_factory.mktemp(f"n{n}")
@@ -286,7 +377,7 @@ def test_analyze_holds_its_image_and_a_few_blocks(tmp_path_factory, capsys):
                                    "--csv", str(work / "s.csv"), "--pgm", str(work / "s.pgm"),
                                    "--fs-in", "8000", "--factor", "4"]))
         images.append(((n - 512) // 128 + 1) * 257)
-        assert peaks[-1] < images[-1] + 6 * sig.BLOCK_BYTES
+        assert peaks[-1] < images[-1] + 5 * sig.BLOCK_BYTES
     capsys.readouterr()
     assert peaks[1] < 2 * peaks[0]
     assert peaks[1] - peaks[0] < images[1] - images[0] + sig.BLOCK_BYTES

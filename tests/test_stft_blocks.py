@@ -1,5 +1,6 @@
 """The blocked STFT front end against one-shot numpy references, and its memory bounds."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,13 @@ def test_measure_response_matches_one_shot(frames):
     _assert_identical(response.magnitude_db, db - db[0])
 
 
+def spectrogram_and_average(x, window_size=512, hop=128, window="hann"):
+    """The spectrogram and the avg_spectrum of x from the one pass analyze makes, over x's Blocks."""
+    db, spectrum = ana._spectrogram_stream(signals.Blocks.of(x), window_size, hop, window,
+                                           lambda frames: np.empty((frames, window_size // 2 + 1)), True)
+    return ana.Spectrogram(signals.frozen(db), x.sample_rate_hz, window_size, hop, window), spectrum
+
+
 ONE_PASS_HOPS = (1, 2, 64, 128, 256, 100)  # 100 does not divide 256: the two-call fallback
 
 
@@ -89,7 +97,7 @@ def test_one_pass_matches_the_two_calls(channels, window, hop):
     frames = max(2 * BLOCK + 300, 40 * WINDOW // hop)
     x = _signal(channels, frames, hop, seed=hop)
     x = Signal(x.data[:, : x.num_samples - hop // 2], x.sample_rate_hz)
-    view, spectrum = ana.spectrogram_and_average(x, WINDOW, hop, window)
+    view, spectrum = spectrogram_and_average(x, WINDOW, hop, window)
     want_view = ana.spectrogram(x, WINDOW, hop, window)
     want = ana.avg_spectrum(x, WINDOW)
     _assert_identical(view.magnitudes_db, want_view.magnitudes_db)
@@ -107,7 +115,7 @@ def test_one_pass_with_blocks_that_split_the_stride(monkeypatch, frames_per_bloc
     # (WINDOW/2 // hop frames), and blocks that hold no averaged frame at all.
     monkeypatch.setattr(signals, "BLOCK_BYTES", frames_per_block * 8 * WINDOW)
     x = _signal(2, 20 * WINDOW // (2 * hop) + 5, hop, seed=frames_per_block)
-    view, spectrum = ana.spectrogram_and_average(x, WINDOW, hop)
+    view, spectrum = spectrogram_and_average(x, WINDOW, hop)
     _assert_identical(view.magnitudes_db, ana.spectrogram(x, WINDOW, hop).magnitudes_db)
     _assert_identical(spectrum.magnitude_db, ana.avg_spectrum(x, WINDOW).magnitude_db)
 
@@ -140,7 +148,7 @@ def test_one_pass_refuses_as_the_two_calls_do(samples, window_size, hop):
     x = _signal(1, 1, 1, seed=samples)
     x = Signal(np.resize(x.data[0], samples), 32000)
     want = _error(_two_calls, x, window_size, hop)
-    assert _error(ana.spectrogram_and_average, x, window_size, hop) == want
+    assert _error(spectrogram_and_average, x, window_size, hop) == want
 
 
 @pytest.mark.parametrize("hop", [128, 100])
@@ -149,7 +157,7 @@ def test_one_pass_refuses_cancelling_channels(hop):
     x = Signal(np.stack([left, -left]), 32000)
     want = _error(_two_calls, x, WINDOW, hop)
     assert "cancel" in want
-    assert _error(ana.spectrogram_and_average, x, WINDOW, hop) == want
+    assert _error(spectrogram_and_average, x, WINDOW, hop) == want
 
 
 def _traced_peak(fn, *args):
@@ -159,7 +167,6 @@ def _traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
 
 @pytest.fixture(scope="module")
 def long_mono():
@@ -171,18 +178,32 @@ def test_spectrogram_peak_stays_near_its_matrix(long_mono):
     assert peak < 1.5 * view.magnitudes_db.nbytes
 
 
+def _write_csv(path, matrix):
+    """analyze's CSV of one spectrogram, formatted by cli._Exports one block of frames at a time."""
+    with open(path, "wb") as fh:
+        cli._Exports(*matrix.shape, csv=fh)[0 : len(matrix)] = matrix
+
+
+def _write_pgm(path, view):
+    """analyze's PGM of one spectrogram, its image filled by cli._Exports."""
+    exports = cli._Exports(view.num_frames, view.num_bins, pgm=True)
+    exports[0 : view.num_frames] = view.magnitudes_db
+    with contextlib.ExitStack() as outputs:
+        exports.write_pgm(path, outputs)
+
+
 def test_pgm_export_peak_stays_near_its_image(long_mono, tmp_path):
     view = ana.spectrogram(long_mono)
-    _, peak = _traced_peak(cli._write_pgm, tmp_path / "s.pgm", view)
+    _, peak = _traced_peak(_write_pgm, tmp_path / "s.pgm", view)
     assert peak < 3 * view.num_frames * view.num_bins
 
 
 def test_one_pass_peak_stays_near_its_spectrogram(long_mono):
-    (view, _), peak = _traced_peak(ana.spectrogram_and_average, long_mono)
+    (view, _), peak = _traced_peak(spectrogram_and_average, long_mono)
     assert peak < 1.5 * view.magnitudes_db.nbytes
 
 
-@pytest.mark.parametrize("estimator", [ana.spectrogram, ana.avg_spectrum, ana.spectrogram_and_average])
+@pytest.mark.parametrize("estimator", [ana.spectrogram, ana.avg_spectrum, spectrogram_and_average])
 def test_short_signal_is_refused_before_the_window_is_built(estimator):
     x = white_noise(1000, 32000, 5)
     tracemalloc.start()
@@ -198,6 +219,6 @@ def test_short_signal_is_refused_before_the_window_is_built(estimator):
 def test_csv_export_peak_stays_near_one_block(long_mono, tmp_path):
     view = ana.spectrogram(long_mono)
     path = tmp_path / "s.csv"
-    _, peak = _traced_peak(cli._write_csv, path, view.magnitudes_db)
+    _, peak = _traced_peak(_write_csv, path, view.magnitudes_db)
     assert peak < 2 * ana.BLOCK_BYTES
     assert path.stat().st_size > 8 * ana.BLOCK_BYTES  # so the whole text was never held
