@@ -3,16 +3,18 @@
 One STFT front end (_stft: windowed frames of a mono mixdown, |rFFT| per
 frame) feeds spectrogram and two estimator families, which average its
 frames differently on purpose. The front end reads its input as
-signals.Blocks (a Signal's mixdown, or a WAV file read by analyze) and
-yields the frames in blocks of about BLOCK_BYTES, which each consumer
-writes or sums in turn, so besides its result an analysis holds a few
-blocks however long the signal is. Each frame block reads its own samples,
-so blocks can be computed apart. The per-bin sums carry their running
-total as the first row of the next block's reduction, so they equal one
-sum over all frames bit for bit. With the Hann window and a hop that
-divides window/2, _spectrogram_stream gives the spectrogram and the
-average from one pass: the frames avg_spectrum would take are a subset of
-the spectrogram's, summed as they stream past.
+signals.Blocks (a Signal's, whose reads are views, or a WAV file read by
+analyze), mixes each read down and judges cancelling channels itself, so
+a Signal and a file are refused alike. It yields the frames in blocks of
+about BLOCK_BYTES, which each consumer writes or sums in turn, so besides
+its result an analysis holds a few blocks however long the signal is.
+Each frame block reads its own samples, so blocks can be computed apart.
+The per-bin sums carry their running total as the first row of the next
+block's reduction, so they equal one sum over all frames bit for bit.
+spectrogram, avg_spectrum and analyze all run _spectrogram_stream; with
+the Hann window and a hop that divides window/2 it gives the spectrogram
+and the average from one pass: the frames avg_spectrum would take are a
+subset of the spectrogram's, summed as they stream past.
 
 * avg_spectrum averages per-frame STFT magnitudes (Hann, 50% overlap).
   It feeds the artifact metrics (tonal prominence, band attenuation),
@@ -50,13 +52,15 @@ def _stft(x: Blocks, window_size: int, hop: int, window: str = "hann") -> tuple:
 
     The result yields (rows, |rFFT| of those windowed frames) in frame
     order. Each block reads its own samples [rows.start*hop, (rows.stop-1)*hop
-    + window_size) of x and mixes them down (_mono), so blocks can be
+    + window_size) of x and mixes them down (_mono: the channel mean is
+    taken per column, so it is the whole mixdown's bits), so blocks can be
     computed apart, in any order, each given a buffer for its windowed
     frames; reads overlap by window_size - hop samples. After the last
     block the tail past its frames is read too, so every sample is read
     and checked, and channels that cancel are refused on energies each
     block sums over its samples [rows.start*hop, rows.stop*hop), the tail
-    over the rest: each sample counts once.
+    over the rest: each sample counts once. This is the one place analysis
+    mixes down and refuses cancelling channels, a Signal's and a file's.
     """
     if window_size < 2 or window_size & (window_size - 1):
         raise ValueError(f"window size must be a power of two, got {window_size}")
@@ -137,15 +141,6 @@ def _refuse_cancelling(energies: np.ndarray) -> None:
         )
 
 
-def _mixdown(x: Signal, trim: int = 0) -> Blocks:
-    """x's mono samples, less `trim` at each end, as Blocks over a view (of its row if mono), refused at
-    once if its channels cancel: before any framing check, and over every sample."""
-    energies = np.zeros(x.channels + 1)
-    mono = _mono(x.data, energies, x.num_samples)
-    _refuse_cancelling(energies)
-    return Blocks.over(frozen(mono[np.newaxis, trim : x.num_samples - trim]), x.sample_rate_hz)
-
-
 @dataclass(frozen=True)
 class Spectrogram:
     """Frames x bins magnitude matrix in dB, floored at -120 dB.
@@ -192,7 +187,7 @@ class Spectrogram:
 def spectrogram(x: Signal, window_size: int = 512, hop: int = 128, window: str = "hann") -> Spectrogram:
     """Magnitude STFT in dB. window_size must be a power of two, hop <= window_size."""
     window_size, hop = int(window_size), int(hop)
-    db, _ = _spectrogram_stream(_mixdown(x), window_size, hop, window,
+    db, _ = _spectrogram_stream(Blocks.of(x), window_size, hop, window,
                                 lambda frames: np.empty((frames, window_size // 2 + 1)), False)
     return Spectrogram(frozen(db), x.sample_rate_hz, window_size, hop, window)
 
@@ -235,51 +230,46 @@ class AveragedSpectrum:
 def avg_spectrum(x: Signal, window_size: int = 512) -> AveragedSpectrum:
     """Mean per-frame STFT magnitude: Hann window, 50% overlap, at least 16 frames."""
     window_size = int(window_size)
-    w, frames, blocks = _stft(_mixdown(x), window_size, window_size // 2)
-    return _average(w, frames, blocks, x.sample_rate_hz, window_size // 2)[1]
+    return _spectrogram_stream(Blocks.of(x), window_size, window_size // 2, "hann", None, True)[1]
 
 
-def _average(w, frames: int, blocks, sample_rate_hz: int, hop: int, out=None) -> tuple:
-    """(out(frames) holding every frame's dB, or None; the avg_spectrum of the blocks' frames).
+def _spectrogram_stream(x: Blocks, window_size: int, hop: int, window: str, out, average: bool) -> tuple:
+    """(out(frames) given every `[rows] = dB` block of x's spectrogram, or None if out is None; the
+    avg_spectrum if `average`).
 
-    The blocks come from _stft at a `hop` that divides w.size/2, so every
-    (w.size/2 // hop)-th frame is an avg_spectrum frame, summed as it
-    streams past in frame order.
+    One loop over _stft's blocks writes each block's dB rows to out and,
+    when averaging, sums every (window_size/2 // hop)-th frame, the
+    avg_spectrum's frames, as they stream past. So with the Hann window and
+    a hop that divides window_size/2 one pass serves both, and both equal
+    the whole-array spectrogram and avg_spectrum bit for bit; otherwise the
+    avg_spectrum's own pass (hop window_size/2, out None) and its errors
+    come first.
     """
-    step = w.size // 2 // hop
-    averaged = (frames - 1) // step + 1
-    if averaged < 16:
-        raise ValueError(f"need at least 16 frames for a stable average, got {averaged}")
+    half = window_size // 2
+    # The average's own pass takes the shared branch even where _stft refuses its window, so no loop.
+    if average and (window, hop) != ("hann", half) and (window != "hann" or hop < 1 or half % hop):
+        spectrum = _spectrogram_stream(x, window_size, half, "hann", None, True)[1]
+        return _spectrogram_stream(x, window_size, hop, window, out, False)[0], spectrum
+    w, frames, blocks = _stft(x, window_size, hop, window)
+    if average:
+        step = half // hop
+        averaged = (frames - 1) // step + 1
+        if averaged < 16:
+            raise ValueError(f"need at least 16 frames for a stable average, got {averaged}")
     db = None if out is None else out(frames)
 
     def kept_frames():
         for rows, mags in blocks:
             if db is not None:
                 db[rows] = _to_db(mags / w.sum())
-            yield mags[-rows.start % step :: step]
+            if average:
+                yield mags[-rows.start % step :: step]
 
-    mean_db = _to_db(_sum_frames(kept_frames()) / averaged / w.sum())
-    return db, AveragedSpectrum(_rfft_freqs(sample_rate_hz, w.size), mean_db, sample_rate_hz, averaged)
-
-
-def _spectrogram_stream(x: Blocks, window_size: int, hop: int, window: str, out, average: bool) -> tuple:
-    """(out(frames) given every `[rows] = dB` block of x's spectrogram, the avg_spectrum if `average`).
-
-    With the Hann window and a hop that divides window_size/2 one pass
-    serves both, and both equal the whole-array spectrogram and
-    avg_spectrum bit for bit; otherwise avg_spectrum's pass and errors
-    come first.
-    """
-    spectrum, half = None, window_size // 2
-    if average and (window != "hann" or hop < 1 or half % hop):
-        _, spectrum = _average(*_stft(x, window_size, half), x.sample_rate_hz, half)
-    w, frames, blocks = _stft(x, window_size, hop, window)
-    if average and spectrum is None:
-        return _average(w, frames, blocks, x.sample_rate_hz, hop, out)
-    db = out(frames)
-    for rows, mags in blocks:
-        db[rows] = _to_db(mags / w.sum())
-    return db, spectrum
+    total = _sum_frames(kept_frames())  # the pass; None unless averaging
+    if not average:
+        return db, None
+    return db, AveragedSpectrum(_rfft_freqs(x.sample_rate_hz, w.size), _to_db(total / averaged / w.sum()),
+                                x.sample_rate_hz, averaged)
 
 
 def average_spectra(spectra) -> AveragedSpectrum:
@@ -458,7 +448,7 @@ def measure_response(
             out = cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting)
         else:
             out = apply(spec, white_noise(n, fs_in, seed))
-        trimmed = _mixdown(out, _EDGE_TRIM)
+        trimmed = Blocks.over(out.data[:, _EDGE_TRIM : out.num_samples - _EDGE_TRIM], out.sample_rate_hz)
         if out.num_samples <= 2 * _EDGE_TRIM + window_size:
             raise ValueError(
                 f"output too short for edge trimming: {out.num_samples} samples; increase n"

@@ -143,8 +143,8 @@ class Blocks:
     multiples of `group` columns. `read(cols)` gives any columns as a
     read-only float64 array: a view of `data`, the whole array of Blocks
     made `over` one (a Signal's, by `of`), or else a fresh fill, checked to
-    be finite as Signal checks. Iterating yields each block as a fresh
-    float64 array, not checked; `signal` fills one whole array into a
+    be finite as Signal checks. `slices` gives the columns of each block
+    of about BLOCK_BYTES, and `signal` fills them into one whole array, a
     Signal. `padded` carries a Signal's flag (see Signal).
     """
 
@@ -183,12 +183,6 @@ class Blocks:
         g = self.group
         for cols in frame_blocks(-(-self.num_samples // g), 8 * g * self.channels):
             yield slice(g * cols.start, min(g * cols.stop, self.num_samples))
-
-    def __iter__(self):
-        for cols in self.slices():
-            block = np.empty((self.channels, cols.stop - cols.start))
-            self.fill(block, cols)
-            yield block
 
     def signal(self) -> Signal:
         """The whole stream as a Signal, each block filled into the columns of one float64 array."""
@@ -375,10 +369,10 @@ def wav_blocks(path) -> Blocks:
 
     Accepts PCM 16-bit and IEEE float 32-bit, mono or stereo. Unknown
     chunks are skipped; only chunk headers are read. Raises ValueError on
-    malformed headers or unsupported codecs. Each fill opens the file, reads
-    the frames of its columns and converts them straight into `out`, so a
-    reader holds one block of file bytes however long the file is. Fills
-    are not checked; `read` checks each block it fills.
+    malformed headers, unsupported codecs or a rate of 0. Each fill opens
+    the file, reads the frames of its columns and converts them straight
+    into `out`, so a reader holds one block of file bytes however long the
+    file is. Fills are not checked; `read` checks each block it fills.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -419,6 +413,8 @@ def wav_blocks(path) -> Blocks:
     count = size // dtype.itemsize
     if count == 0 or count % ch:
         raise ValueError(f"{path}: data chunk size does not match the channel count")
+    if rate <= 0:
+        raise ValueError(f"sample rate must be positive, got {rate}")  # as Signal says
 
     def fill(out, cols):
         with open(path, "rb") as fh:

@@ -249,7 +249,7 @@ def test_cancellation_boundary_with_sums_split_into_blocks(tmp_path, monkeypatch
     # one spread over the file, so the mixdown energy is `agreeing` and the
     # mean channel energy 10,000, and both are exact sums however they are
     # split: on the 20 dB line (100) is kept, one sample below it is refused.
-    # The streamed CLI sums per frame block, the library over whole rows.
+    # The CLI and the library both sum per frame block of _stft, here of one frame.
     n = 10_000
     right = -np.ones(n)
     right[np.linspace(0, n - 1, agreeing).astype(int)] = 1.0

@@ -451,6 +451,25 @@ class TestErrors:
         ]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, flags", [
+        ("analyze", ["--report", "r.json", "--csv", "s.csv", "--pgm", "s.pgm"]),
+        ("upsample", ["--out", "up.wav", "--layer", "stretch", "--factor", "2"]),
+    ])
+    def test_a_file_of_rate_zero_is_refused_at_its_header(self, tmp_path, monkeypatch, capsys, command, flags):
+        src = tmp_path / "in.wav"
+        sig.write_wav(src, sig.white_noise(8192, 8000, 1))
+        raw = bytearray(src.read_bytes())
+        raw[24:32] = bytes(8)  # the fmt chunk's sample rate and byte rate
+        src.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="^sample rate must be positive, got 0$"):
+            read_wav(src)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "--in", "in.wav", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: sample rate must be positive, got 0"]
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["in.wav"]
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["pr", "grads"])

@@ -160,6 +160,22 @@ def test_one_pass_refuses_cancelling_channels(hop):
     assert _error(spectrogram_and_average, x, WINDOW, hop) == want
 
 
+@pytest.mark.parametrize("samples", [500, 4000])  # shorter than one window; 14 averaged frames
+def test_cancelling_stereo_is_refused_as_analyze_refuses_its_file(tmp_path, capsys, samples):
+    # The library mixes a Signal down where analyze mixes its file down, in
+    # the pass: framing and frame-count errors come before the cancellation.
+    left = np.resize(_signal(1, 1, 1, seed=samples).data[0], samples)
+    src = tmp_path / "in.wav"
+    signals.write_wav(src, Signal(np.stack([left, -left]), 32000))
+    x = signals.read_wav(src)
+    averaged, alone = _error(_two_calls, x, WINDOW, 128), _error(ana.spectrogram, x, WINDOW, 128)
+    assert _error(spectrogram_and_average, x, WINDOW, 128) == averaged
+    assert ("cancel" in alone) == (samples == 4000) and "cancel" not in averaged
+    for flags, want in (([], alone), (["--fs-in", "8000", "--factor", "4"], averaged)):
+        assert cli.main(["analyze", "--in", str(src), "--report", str(tmp_path / "r.json"), *flags]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -176,6 +192,15 @@ def long_mono():
 def test_spectrogram_peak_stays_near_its_matrix(long_mono):
     view, peak = _traced_peak(ana.spectrogram, long_mono)
     assert peak < 1.5 * view.magnitudes_db.nbytes
+
+
+def test_stereo_avg_spectrum_peak_stays_below_its_mixdown():
+    # At 2**22 samples the mono mixdown (32 MiB) is about twice the pass's
+    # working set of a few blocks, so a whole mixdown would show.
+    rng = np.random.Generator(np.random.Philox(6))
+    x = Signal(signals.frozen(rng.uniform(-1.0, 1.0, (2, 1 << 22))), 32000)
+    _, peak = _traced_peak(ana.avg_spectrum, x)
+    assert peak < 8 * x.num_samples
 
 
 def _write_csv(path, matrix):

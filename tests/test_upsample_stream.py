@@ -135,7 +135,8 @@ def test_a_later_block_beyond_float32_is_refused_with_its_float64_peak(tmp_path,
     if np.isnan(value):
         message = "signal samples must be finite"
     else:  # named by the float64 peak of the first block that float32 cannot hold
-        peak = next(p for p in (np.abs(b).max() for b in blocks) if p >= sig._FLOAT32_OVERFLOW)
+        peak = next(p for p in (np.abs(blocks.read(cols)).max() for cols in blocks.slices())
+                    if p >= sig._FLOAT32_OVERFLOW)
         message = f"a sample of magnitude {peak:g} is beyond float32's range"
     filled = []
 

@@ -55,7 +55,7 @@ def _round_trip(path, x, fmt, block_bytes):
         sig.write_wav(path, x, fmt=fmt)
         back = sig.read_wav(path)
         stream = sig.wav_blocks(path)
-        blocks = list(stream)
+        blocks = [stream.read(cols) for cols in stream.slices()]
     assert back.data.shape == x.data.shape
     assert back.sample_rate_hz == x.sample_rate_hz
     # read_wav is the collection of wav_blocks' C-ordered blocks of at most BLOCK_BYTES of float64.
@@ -108,7 +108,10 @@ def test_mutated_bytes_give_a_signal_or_a_value_error(wav_path, valid_wavs, kind
     except ValueError as exc:
         x, error = None, str(exc)
     try:
-        blocks = np.concatenate(list(sig.wav_blocks(wav_path)), axis=1)
+        stream = sig.wav_blocks(wav_path)
+        blocks = np.empty((stream.channels, stream.num_samples))
+        for cols in stream.slices():  # each block filled unchecked into its columns of one array
+            stream.fill(blocks[:, cols], cols)
     except ValueError as exc:
         # wav_blocks refuses a file with read_wav's header message.
         assert x is None and str(exc) == error
@@ -176,7 +179,7 @@ def test_streamed_upsample_writes_the_bytes_of_the_whole_output(tmp_path_factory
         else:
             assert code == 0 and out.read_bytes() == ref.read_bytes()
             stream = (wavelet_roundtrip_blocks if roundtrip else apply_blocks)(spec, x)
-            blocks = list(stream)
+            blocks = [stream.read(cols) for cols in stream.slices()]
             assert (stream.sample_rate_hz, stream.num_samples) == (whole.sample_rate_hz, whole.num_samples)
             assert _same_bits(np.concatenate(blocks, axis=1), whole.data)
             assert max(b.shape[1] for b in blocks) <= max(1, block_bytes // (8 * x.channels)) * (4 if roundtrip else 1)
