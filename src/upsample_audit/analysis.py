@@ -6,11 +6,20 @@ frames differently on purpose. The front end reads its input as
 signals.Blocks (a Signal's, whose reads are views, or a WAV file read by
 analyze), mixes each read down and judges cancelling channels itself, so
 a Signal and a file are refused alike. It yields the frames in blocks of
-about BLOCK_BYTES, which each consumer writes or sums in turn, so besides
-its result an analysis holds a few blocks however long the signal is.
-Each frame block reads its own samples, so blocks can be computed apart.
-The per-bin sums carry their running total as the first row of the next
-block's reduction, so they equal one sum over all frames bit for bit.
+about BLOCK_BYTES / SLOTS. Each frame block reads its own samples, so
+blocks are computed apart: signals.ordered_map runs the pure per-block
+work (read, mixdown, window, rFFT, |.|, the dB and a sink's prepare) on
+one worker thread per CPU the process may use, up to SLOTS (inline for a
+pass of at most 2 * SLOTS blocks), each block into the buffers of one of
+at most SLOTS slots allocated once per pass, and hands the blocks back in
+frame order. What depends on order stays in the one consumer loop: adding
+each block's channel energies, storing its dB or exports, and summing its
+frames. Where blocks split depends on the input and the framing only, so
+the bits do not depend on the worker count, and besides its result an
+analysis holds about the same few BLOCK_BYTES on any number of CPUs
+however long the signal is. The per-bin sums carry their running total as
+the first row of the next block's reduction, so they equal one sum over
+all frames bit for bit.
 spectrogram, avg_spectrum and analyze all run _spectrogram_stream; with
 the Hann window and a hop that divides window/2 it gives the spectrogram
 and the average from one pass: the frames avg_spectrum would take are a
@@ -38,7 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import BLOCK_BYTES, Blocks, Signal, _all_finite, frame_blocks, frozen, readonly_float64, white_noise
+from .signals import (
+    BLOCK_BYTES, SLOTS, Blocks, Signal, _all_finite, frame_blocks, frozen, ordered_map, readonly_float64,
+    white_noise,
+)
 from .upsamplers.config import WAVELET_KINDS, UpsamplerSpec, apply
 from .upsamplers.wavelets import LiftingParams, cascade_analysis, cascade_synthesis, detail_shapes
 
@@ -48,19 +60,30 @@ _MAG_FLOOR = 10.0 ** (DB_FLOOR / 20.0)
 _WINDOWS = {"hann": np.hanning, "rect": np.ones}
 
 def _stft(x: Blocks, window_size: int, hop: int, window: str = "hann") -> tuple:
-    """Check the framing of x; return the window, the frame count and the blocks of frames.
+    """Check the framing of x; return the window, the frame count and the pass, `blocks(post=None, scratch=False)`.
 
-    The result yields (rows, |rFFT| of those windowed frames) in frame
-    order. Each block reads its own samples [rows.start*hop, (rows.stop-1)*hop
-    + window_size) of x and mixes them down (_mono: the channel mean is
-    taken per column, so it is the whole mixdown's bits), so blocks can be
-    computed apart, in any order, each given a buffer for its windowed
-    frames; reads overlap by window_size - hop samples. After the last
-    block the tail past its frames is read too, so every sample is read
-    and checked, and channels that cancel are refused on energies each
-    block sums over its samples [rows.start*hop, rows.stop*hop), the tail
-    over the rest: each sample counts once. This is the one place analysis
-    mixes down and refuses cancelling channels, a Signal's and a file's.
+    The pass yields (rows, |rFFT| of those windowed frames, post(rows,
+    that |rFFT| block, scratch) or None) in frame order, scratch being a
+    buffer of the block's shape if asked for. A block holds about BLOCK_BYTES
+    / SLOTS of windowed frames or of samples read, whichever is more, so a
+    pass's slots hold about the same bytes on any number of CPUs. Each
+    block reads its own samples [rows.start*hop, (rows.stop-1)*hop +
+    window_size) of x and mixes them down (_mono: the channel mean is
+    taken per column, so it is the whole mixdown's bits), so blocks are
+    computed apart, by signals.ordered_map on the CPUs the process may
+    use, up to SLOTS; reads overlap by window_size - hop samples. A
+    block's read, mixdown, windowing, rFFT, |.| and post run in a worker,
+    into its slot's buffers (samples, mixdown, magnitudes and scratch,
+    each a block's, and windowed frames, about BLOCK_BYTES/8, which the
+    worker windows and transforms its block in), allocated once per pass;
+    only the rFFT's complex result is made per such part. A slot is filled
+    again only after the consumer has asked for the block after the one it
+    holds, so a block's arrays are valid until then. Channels that cancel
+    are refused on energies each block sums over its samples
+    [rows.start*hop, rows.stop*hop), added in frame order, the tail past
+    the last frame (read and checked after the last block) over the rest:
+    each sample counts once. This is the one place analysis mixes down and
+    refuses cancelling channels, a Signal's and a file's.
     """
     if window_size < 2 or window_size & (window_size - 1):
         raise ValueError(f"window size must be a power of two, got {window_size}")
@@ -74,26 +97,47 @@ def _stft(x: Blocks, window_size: int, hop: int, window: str = "hann") -> tuple:
     if not w.sum() > 0:
         raise ValueError(f"{window} window of {window_size} samples has no positive sum")
     frames = (x.num_samples - window_size) // hop + 1
-    energies = np.zeros(x.channels + 1)
+    row_bytes = w.itemsize * window_size
+    frame_bytes = max(row_bytes, 8 * hop * x.channels)  # a frame's windowed samples, or its share of a read
 
-    def stft_block(rows, windowed):
-        """|rFFT| of frames `rows`, windowed into `windowed`, a buffer of at least as many frames."""
-        first, stop = rows.start * hop, (rows.stop - 1) * hop + window_size
-        seg = _mono(x.read(slice(first, stop)), energies, rows.stop * hop - first)
-        view = np.lib.stride_tricks.sliding_window_view(seg, window_size)[::hop]
-        return np.abs(np.fft.rfft(np.multiply(view, w, out=windowed[: len(view)]), axis=1))
+    def blocks(post=None, scratch=False):
+        slices = list(frame_blocks(frames, SLOTS * frame_bytes))
+        most = max(rows.stop - rows.start for rows in slices)
+        span = (most - 1) * hop + window_size
+        shape = (most, window_size // 2 + 1)
+        eighth = max(part.stop - part.start for part in frame_blocks(most, 8 * row_bytes))  # windowed at once
 
-    def stft_blocks():
-        slices = list(frame_blocks(frames, w.itemsize * window_size))
-        # One buffer of windowed frames for the pass: with a fresh block-sized array per block,
-        # glibc returns those pages and faults them in again block after block.
-        windowed = np.empty((max(rows.stop - rows.start for rows in slices), window_size))
-        for rows in slices:
-            yield rows, stft_block(rows, windowed)
-        _mono(x.read(slice(frames * hop, x.num_samples)), energies, x.num_samples)  # the tail
+        def slot():
+            # With fresh block-sized arrays per block, glibc would return their pages and fault them in
+            # again block after block, and keep what each worker thread frees in that thread's arena.
+            return (None if x.data is not None else np.empty((x.channels, span)),
+                    None if x.channels == 1 else np.empty(span),
+                    np.empty((eighth, window_size)),
+                    np.empty(shape), np.empty(shape) if scratch else None)
+
+        def stft_block(slot, rows):  # in a worker
+            samples, mix, windowed, mags, buffer = slot
+            first, stop = rows.start * hop, (rows.stop - 1) * hop + window_size
+            seg, energies = _mono(x.read(slice(first, stop), samples), mix, rows.stop * hop - first)
+            view = np.lib.stride_tricks.sliding_window_view(seg, window_size)[::hop]
+            for part in frame_blocks(len(view), 8 * row_bytes):
+                np.abs(np.fft.rfft(np.multiply(view[part], w, out=windowed[: part.stop - part.start]), axis=1),
+                       out=mags[part])
+            mags = mags[: len(view)]
+            made = None if post is None else post(rows, mags, None if buffer is None else buffer[: len(view)])
+            return rows, mags, made, energies
+
+        energies = np.zeros(x.channels + 1)
+        for rows, mags, made, summed in ordered_map(stft_block, slices, slot):
+            if summed is not None:
+                energies += summed
+            yield rows, mags, made
+        tail = _mono(x.read(slice(frames * hop, x.num_samples)), None, x.num_samples)[1]
+        if tail is not None:
+            energies += tail
         _refuse_cancelling(energies)
 
-    return w, frames, stft_blocks()
+    return w, frames, blocks
 
 
 def _sum_frames(blocks) -> np.ndarray:
@@ -114,21 +158,27 @@ def _rfft_freqs(sample_rate_hz: int, window_size: int) -> np.ndarray:
     return np.linspace(0.0, sample_rate_hz / 2.0, window_size // 2 + 1)
 
 
-def _to_db(magnitudes: np.ndarray) -> np.ndarray:
-    return 20.0 * np.log10(np.maximum(magnitudes, _MAG_FLOOR))
+def _to_db(magnitudes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """20 log10 of the magnitudes floored at DB_FLOOR, made in `out` (which may be magnitudes) if given."""
+    db = np.maximum(magnitudes, _MAG_FLOOR, out=out)
+    np.log10(db, out=db)
+    db *= 20.0
+    return db
 
 
-def _mono(block: np.ndarray, energies: np.ndarray, counted: int) -> np.ndarray:
-    """The channel mean of a (channels, cols) block (a view of its row if mono): analysis is mono.
+def _mono(block: np.ndarray, mix: np.ndarray | None, counted: int) -> tuple:
+    """(the channel mean of a (channels, cols) block, its energies): analysis is mono.
 
-    Adds the energies of the block's first `counted` columns to `energies`,
-    the mixdown's and then each channel's, unless the block is mono.
+    The mean is a view of the block's row if mono, else it goes into the
+    leading columns of `mix` (if given). The energies, the mixdown's and
+    then each channel's, are summed over the block's first `counted`
+    columns by a numpy reduction, not BLAS, whose threads would change
+    their rounding; a mono block has None.
     """
     if len(block) == 1:
-        return block[0]
-    mix = block.mean(axis=0)
-    energies += [np.dot(row[:counted], row[:counted]) for row in (mix, *block)]
-    return mix
+        return block[0], None
+    mix = np.mean(block, axis=0, out=None if mix is None else mix[: block.shape[1]])
+    return mix, np.array([np.einsum("i,i->", row[:counted], row[:counted]) for row in (mix, *block)])
 
 
 def _refuse_cancelling(energies: np.ndarray) -> None:
@@ -234,42 +284,54 @@ def avg_spectrum(x: Signal, window_size: int = 512) -> AveragedSpectrum:
 
 
 def _spectrogram_stream(x: Blocks, window_size: int, hop: int, window: str, out, average: bool) -> tuple:
-    """(out(frames) given every `[rows] = dB` block of x's spectrogram, or None if out is None; the
-    avg_spectrum if `average`).
+    """(out(frames) given every block of x's spectrogram in dB, or None if out is None; the avg_spectrum
+    if `average`).
 
-    One loop over _stft's blocks writes each block's dB rows to out and,
-    when averaging, sums every (window_size/2 // hop)-th frame, the
-    avg_spectrum's frames, as they stream past. So with the Hann window and
-    a hop that divides window_size/2 one pass serves both, and both equal
-    the whole-array spectrogram and avg_spectrum bit for bit; otherwise the
-    avg_spectrum's own pass (hop window_size/2, out None) and its errors
-    come first.
+    out(frames) gives the sink: an array, whose rows the workers fill
+    with each block's dB, or an object with `prepare(db)` and `[rows] =`.
+    Its prepare runs in _stft's workers on each block's dB, made in the
+    slot's scratch buffer, and may overwrite it; the one consumer loop
+    stores prepare's results `sink[rows] = made` in frame order and, when
+    averaging, sums every (window_size/2 // hop)-th frame, the
+    avg_spectrum's frames, as they stream past. So with the Hann window
+    and a hop that divides window_size/2 one pass serves both, and both
+    equal the whole-array spectrogram and avg_spectrum bit for bit;
+    otherwise the avg_spectrum's own pass (hop window_size/2, out None) and
+    its errors come first.
     """
     half = window_size // 2
     # The average's own pass takes the shared branch even where _stft refuses its window, so no loop.
     if average and (window, hop) != ("hann", half) and (window != "hann" or hop < 1 or half % hop):
         spectrum = _spectrogram_stream(x, window_size, half, "hann", None, True)[1]
         return _spectrogram_stream(x, window_size, hop, window, out, False)[0], spectrum
+
     w, frames, blocks = _stft(x, window_size, hop, window)
     if average:
         step = half // hop
         averaged = (frames - 1) // step + 1
         if averaged < 16:
             raise ValueError(f"need at least 16 frames for a stable average, got {averaged}")
-    db = None if out is None else out(frames)
+    sink = None if out is None else out(frames)
+    prepare = getattr(sink, "prepare", None)
+
+    def db_block(rows, mags, scratch):  # in a worker
+        """The block's dB, made in an array sink's own rows, or in scratch and then made ready by prepare."""
+        db = sink[rows] if prepare is None else scratch
+        db = _to_db(np.divide(mags, w.sum(), out=db), out=db)
+        return None if prepare is None else prepare(db)
 
     def kept_frames():
-        for rows, mags in blocks:
-            if db is not None:
-                db[rows] = _to_db(mags / w.sum())
+        for rows, mags, made in blocks(None if sink is None else db_block, prepare is not None):
+            if prepare is not None:
+                sink[rows] = made
             if average:
                 yield mags[-rows.start % step :: step]
 
     total = _sum_frames(kept_frames())  # the pass; None unless averaging
     if not average:
-        return db, None
-    return db, AveragedSpectrum(_rfft_freqs(x.sample_rate_hz, w.size), _to_db(total / averaged / w.sum()),
-                                x.sample_rate_hz, averaged)
+        return sink, None
+    return sink, AveragedSpectrum(_rfft_freqs(x.sample_rate_hz, w.size), _to_db(total / averaged / w.sum()),
+                                  x.sample_rate_hz, averaged)
 
 
 def average_spectra(spectra) -> AveragedSpectrum:
@@ -454,7 +516,7 @@ def measure_response(
                 f"output too short for edge trimming: {out.num_samples} samples; increase n"
             )
         _, frames, blocks = _stft(trimmed, window_size, window_size // 2)
-        acc = acc + _sum_frames(mags ** 2 for _, mags in blocks)
+        acc = acc + _sum_frames(mags ** 2 for _, mags, _ in blocks())
         total_frames += frames
     db = 10.0 * np.log10(np.maximum(acc / total_frames, _POWER_FLOOR))
     return FrequencyResponse(_rfft_freqs(fs_out, window_size), db - db[0], fs_out)

@@ -217,53 +217,80 @@ def _csv_text(block: np.ndarray) -> np.ndarray:
 
 
 def _gray_levels(db: np.ndarray) -> np.ndarray:
-    """dB in [-80, 0] mapped to [0, 255] as uint8, scaled in place on one clipped copy."""
-    levels = np.clip(db, -80.0, 0.0)
+    """dB in [-80, 0] mapped to [0, 255] as uint8, scaled in place in db."""
+    levels = np.clip(db, -80.0, 0.0, out=db)
     levels += 80.0
     levels /= 80.0
     levels *= 255.0
     return np.round(levels, out=levels).astype(np.uint8)
 
 
-class _Exports:
-    """The spectrogram exports, stored one block of frames at a time (`exports[rows] = db`).
+def _pgm_header(frames: int, bins: int) -> bytes:
+    """The header of an 8-bit binary PGM of `frames` columns and `bins` rows."""
+    return f"P5\n{frames} {bins}\n255\n".encode("ascii")
 
-    Each block's CSV rows go to `csv`, an open binary file, and its gray
-    levels fill the PGM image (bin 0 at the bottom row), the one whole
-    array. Blocks are formatted in slices of about BLOCK_BYTES of
-    temporaries (about 64 bytes per CSV value).
+
+class _Exports:
+    """The spectrogram exports, stored one block of frames at a time in frame order:
+    `exports[rows] = exports.prepare(db)`.
+
+    `prepare` is pure and may run on any thread: it formats the block's CSV
+    text in slices of about BLOCK_BYTES/8 of temporaries (about 64 bytes
+    per CSV value) and maps db to gray levels in place. The store writes the
+    text to `csv`, an open binary file, and fills a band of about
+    BLOCK_BYTES of image columns (bin 0 at the bottom row). `pgm` is an open
+    binary file holding the PGM's header, sized for the whole image (see
+    _pgm_header); a full band, and the last, goes to it one image row
+    segment at a time, at offset header + row*frames + band start. So no
+    more than a band of the bins x frames image is ever held.
     """
 
-    def __init__(self, frames: int, bins: int, csv=None, pgm: bool = False):
+    def __init__(self, frames: int, bins: int, csv=None, pgm=None):
         self.frames = frames
         self.csv = csv
-        self.img = np.empty((bins, frames), dtype=np.uint8) if pgm else None
+        self.pgm = pgm
+        if pgm is not None:
+            self.origin = pgm.tell()
+            self.band = np.empty((bins, min(frames, max(1, sig.BLOCK_BYTES // bins))), dtype=np.uint8)
+            self.start = 0  # the band's first frame
 
-    def __setitem__(self, rows: slice, db: np.ndarray) -> None:
-        for part in sig.frame_blocks(len(db), 64 * db.shape[1]):
-            if self.csv is not None:
-                self.csv.write(_csv_text(db[part]))
-            if self.img is not None:
-                self.img[::-1, rows.start + part.start : rows.start + part.stop] = _gray_levels(db[part]).T
+    def prepare(self, db: np.ndarray) -> tuple:
+        """(the CSV text of each slice of db's rows, db's gray levels), each None if not exported."""
+        text = None if self.csv is None else [
+            _csv_text(db[part]) for part in sig.frame_blocks(len(db), 8 * 64 * db.shape[1])
+        ]
+        return text, None if self.pgm is None else _gray_levels(db)
 
-    def write_pgm(self, path, outputs: contextlib.ExitStack) -> None:
-        """8-bit binary PGM of the image, through signals.replacing at its full size, moved into place
-        when `outputs` exits."""
-        header = f"P5\n{self.img.shape[1]} {self.img.shape[0]}\n255\n".encode("ascii")
-        fh = outputs.enter_context(sig.replacing(path, len(header) + self.img.nbytes))
-        fh.write(header)
-        fh.write(self.img.data)
+    def __setitem__(self, rows: slice, made: tuple) -> None:
+        text, levels = made
+        for part in text or ():
+            self.csv.write(part)
+        done = 0
+        while levels is not None and done < len(levels):
+            at = rows.start + done - self.start
+            n = min(len(levels) - done, self.band.shape[1] - at)
+            self.band[::-1, at : at + n] = levels[done : done + n].T
+            done += n
+            if at + n == self.band.shape[1] or rows.start + done == self.frames:
+                self._write_band(at + n)
+
+    def _write_band(self, width: int) -> None:
+        for row, segment in enumerate(self.band[:, :width]):
+            self.pgm.seek(self.origin + row * self.frames + self.start)
+            self.pgm.write(segment)
+        self.start += width
 
 
 def cmd_analyze(args) -> int:
-    """Stream the input WAV file to the exports, so neither the signal nor the spectrogram is ever whole.
+    """Stream the input WAV file to the exports, so neither the signal, the spectrogram nor the image is ever whole.
 
     The report, the CSV and the PGM are each written through
     signals.replacing on one ExitStack and moved into place together once
     all three are written, so a refusal found during or after the pass
     (non-finite samples, cancelling channels, the report's checks, an
-    output that cannot be written) leaves none of them behind. Each frame
-    block of the pass reads its own samples from the file.
+    output that cannot be written) leaves none of them behind. The CSV and
+    the PGM are opened when the frame count is known, before the pass. Each
+    frame block of the pass reads its own samples from the file.
     """
     if (args.fs_in is None) != (args.factor is None):
         raise ValueError("replica prediction requires both --fs-in and --factor")
@@ -283,7 +310,12 @@ def cmd_analyze(args) -> int:
 
         def exports(frames):
             csv = outputs.enter_context(sig.replacing(args.csv)) if args.csv else None
-            return _Exports(frames, bins, csv, bool(args.pgm))
+            pgm = None
+            if args.pgm:
+                header = _pgm_header(frames, bins)
+                pgm = outputs.enter_context(sig.replacing(args.pgm, len(header) + bins * frames))
+                pgm.write(header)
+            return _Exports(frames, bins, csv, pgm)
 
         spect, spectrum = ana._spectrogram_stream(
             blocks, args.stft_size, args.hop, args.window, exports, args.fs_in is not None
@@ -300,8 +332,6 @@ def cmd_analyze(args) -> int:
                 "tonal_detected": bool(report.tonal_detected),
                 "filtering_detected": bool(report.filtering_detected),
             }
-        if args.pgm:
-            spect.write_pgm(args.pgm, outputs)
         body = {
             "schema": 1,
             "command": "analyze",

@@ -2,7 +2,6 @@
 whole signal, with read blocks that split frames and hops; refusals found
 during or after the pass; and its memory bound."""
 
-import contextlib
 import dataclasses
 import json
 import os
@@ -38,7 +37,7 @@ def _analyze(capsys, src, out_dir, *flags):
 
 def _reference(src, paths, stft_size, hop, window, fs_in, factor):
     """The report, CSV and PGM bytes built from the whole signal: the library calls, then np.savetxt and
-    the image filled by cli._Exports."""
+    the whole image's gray levels."""
     x = sig.read_wav(src)
     artifacts = None
     view = ana.spectrogram(x, stft_size, hop, window)
@@ -55,10 +54,9 @@ def _reference(src, paths, stft_size, hop, window, fs_in, factor):
     ref_dir = os.path.dirname(paths["r.json"]) + "-ref"
     os.makedirs(ref_dir)
     np.savetxt(os.path.join(ref_dir, "s.csv"), view.magnitudes_db, fmt="%.6f", delimiter=",", newline="\n")
-    exports = cli._Exports(view.num_frames, view.num_bins, pgm=True)
-    exports[0 : view.num_frames] = view.magnitudes_db
-    with contextlib.ExitStack() as outputs:
-        exports.write_pgm(os.path.join(ref_dir, "s.pgm"), outputs)
+    levels = np.round((np.clip(view.magnitudes_db, -80.0, 0.0) + 80.0) / 80.0 * 255.0).astype(np.uint8)
+    with open(os.path.join(ref_dir, "s.pgm"), "wb") as pgm:
+        pgm.write(f"P5\n{view.num_frames} {view.num_bins}\n255\n".encode() + np.flipud(levels.T).tobytes())
     body = {
         "schema": 1,
         "command": "analyze",
@@ -267,7 +265,7 @@ def test_cancellation_boundary_with_sums_split_into_blocks(tmp_path, monkeypatch
     assert ("cancel" in captured.err) == refused
 
 
-SEVEN_FRAMES = 7 * 8 * 512  # BLOCK_BYTES of frame blocks of 7 frames at the default STFT size
+SEVEN_FRAMES = ana.SLOTS * 7 * 8 * 512  # BLOCK_BYTES of frame blocks of 7 frames at the default STFT size
 
 
 def _on_the_line(agreeing):
@@ -315,7 +313,7 @@ def test_frame_blocks_in_reverse_order_equal_those_in_order(tmp_path, monkeypatc
         w, frames, blocks = ana._stft(sig.wav_blocks(src), 512, 128)
         mags, starts = np.full((frames, 257), np.nan), []
         try:
-            for rows, block in blocks:
+            for rows, block, _ in blocks():
                 mags[rows] = block
                 starts.append(rows.start)
             results.append(mags)
@@ -355,6 +353,26 @@ def test_a_directory_as_report_or_pgm_is_refused_before_the_input_is_read(tmp_pa
     assert sorted(os.listdir(tmp_path)) == ["adir", "in.wav"] and os.listdir(target) == []
 
 
+def test_a_pgm_that_cannot_be_allocated_is_refused_before_the_pass(tmp_path, monkeypatch, capsys):
+    # The PGM is opened at its full size when the frame count is known, before the pass, as the CSV is;
+    # so its error comes before that of a NaN the pass would meet.
+    src = tmp_path / "in.wav"
+    _write(src, _noise(1, N, seed=11))
+    with open(src, "r+b") as fh:
+        fh.seek(-4 * (N // 2), os.SEEK_END)
+        fh.write(struct.pack("<f", float("nan")))
+
+    def no_room(fd, offset, size):  # in analyze, only the PGM is allocated at its size
+        raise OSError(28, "No space left on device")
+
+    for fallocate, want in ((no_room, "[Errno 28] No space left on device"),
+                            (os.posix_fallocate, "signal samples must be finite")):
+        monkeypatch.setattr(os, "posix_fallocate", fallocate)
+        code, captured, _ = _analyze(capsys, src, tmp_path)
+        assert (code, captured.err.splitlines()) == (2, [f"error: {want}"])
+        assert sorted(os.listdir(tmp_path)) == ["in.wav"]
+
+
 def _traced_peak(argv):
     tracemalloc.start()
     try:
@@ -364,20 +382,29 @@ def _traced_peak(argv):
         tracemalloc.stop()
 
 
-def test_analyze_holds_its_image_and_a_few_blocks(tmp_path_factory, capsys):
-    # Doubling the input doubles only the PGM image (one byte per frame and
-    # bin). The rest is a few blocks: one frame block's samples, the
-    # buffer of windowed frames, their rFFT, and a slice of export text
-    # (3.8 BLOCK_BYTES, mono or stereo).
-    peaks, images = [], []
-    for n in (1 << 21, 1 << 22):
-        work = tmp_path_factory.mktemp(f"n{n}")
+def test_analyze_holds_its_slots_and_one_band(tmp_path_factory, capsys, workers):
+    # No image: the PGM is written in bands of about BLOCK_BYTES of columns,
+    # so doubling the input leaves the peak unchanged within one block. The
+    # pass holds at most SLOTS slots, each with a frame block of about
+    # BLOCK_BYTES / SLOTS of windowed frames or of samples read: its
+    # samples, magnitudes, dB, CSV text and gray levels, and its worker's
+    # windowed frames and complex rFFT. Measured in BLOCK_BYTES, mono 2**21
+    # and 2**22 samples with the CSV and PGM: 2.01 and 1.98 on one worker,
+    # 3.17 and 3.30 on two, 3.95 and 3.98 on eight; stereo 2**21 at hop 512
+    # with the PGM, whose reads are twice its windowed frames: 1.03, 2.41
+    # and 3.17.
+    inputs = {n: tmp_path_factory.mktemp(f"n{n}") for n in (1 << 21, 1 << 22)}
+    for n, work in inputs.items():
         _write(work / "in.wav", _noise(1, n, seed=n))
-        peaks.append(_traced_peak(["analyze", "--in", str(work / "in.wav"), "--report", str(work / "r.json"),
-                                   "--csv", str(work / "s.csv"), "--pgm", str(work / "s.pgm"),
-                                   "--fs-in", "8000", "--factor", "4"]))
-        images.append(((n - 512) // 128 + 1) * 257)
-        assert peaks[-1] < images[-1] + 5 * sig.BLOCK_BYTES
+    stereo = tmp_path_factory.mktemp("stereo")
+    _write(stereo / "in.wav", _noise(2, 1 << 21, seed=3))
+    for count in (1, 2, 8):
+        workers(count)
+        peaks = [_traced_peak(["analyze", "--in", str(work / "in.wav"), "--report", str(work / "r.json"),
+                               "--csv", str(work / "s.csv"), "--pgm", str(work / "s.pgm"),
+                               "--fs-in", "8000", "--factor", "4"]) for work in inputs.values()]
+        peaks.append(_traced_peak(["analyze", "--in", str(stereo / "in.wav"), "--report", str(stereo / "r.json"),
+                                   "--pgm", str(stereo / "s.pgm"), "--hop", "512"]))
+        assert max(peaks) < 4.5 * sig.BLOCK_BYTES
+        assert abs(peaks[1] - peaks[0]) < sig.BLOCK_BYTES
     capsys.readouterr()
-    assert peaks[1] < 2 * peaks[0]
-    assert peaks[1] - peaks[0] < images[1] - images[0] + sig.BLOCK_BYTES

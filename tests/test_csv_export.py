@@ -15,7 +15,8 @@ def _assert_same_bytes(tmp_path, matrix):
     want, got = tmp_path / "want.csv", tmp_path / "got.csv"
     np.savetxt(want, matrix, fmt="%.6f", delimiter=",", newline="\n")
     with open(got, "wb") as fh:  # as analyze stores one spectrogram, one block of frames at a time
-        cli._Exports(*matrix.shape, csv=fh)[0 : len(matrix)] = matrix
+        exports = cli._Exports(*matrix.shape, csv=fh)
+        exports[0 : len(matrix)] = exports.prepare(matrix)
     assert got.read_bytes() == want.read_bytes()
 
 
