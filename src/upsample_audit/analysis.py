@@ -9,15 +9,16 @@ a Signal and a file are refused alike. It yields the frames in blocks of
 about BLOCK_BYTES / SLOTS. Each frame block reads its own samples, so
 blocks are computed apart: signals.ordered_map runs the pure per-block
 work (read, mixdown, window, rFFT, |.|, the dB and a sink's prepare) on
-one worker thread per CPU the process may use, up to SLOTS (inline for a
-pass of at most 2 * SLOTS blocks), each block into the buffers of one of
-at most SLOTS slots allocated once per pass, and hands the blocks back in
-frame order. What depends on order stays in the one consumer loop: adding
-each block's channel energies, storing its dB or exports, and summing its
-frames. Where blocks split depends on the input and the framing only, so
-the bits do not depend on the worker count, and besides its result an
-analysis holds about the same few BLOCK_BYTES on any number of CPUs
-however long the signal is. The per-bin sums carry their running total as
+one worker thread per CPU the process may use, up to SLOTS, made for the
+pass and joined when it ends (inline for a pass of at most 2 * SLOTS
+blocks), each block into the buffers of one of at most SLOTS slots
+allocated once per pass, and hands the blocks back in frame order. What
+depends on order stays in the one consumer loop: adding each block's
+channel energies, storing its dB or exports, and summing its frames.
+Where blocks split depends on the input and the framing only, so the bits
+do not depend on the worker count, and besides its result an analysis
+holds about the same few BLOCK_BYTES on any number of CPUs however long
+the signal is. The per-bin sums carry their running total as
 the first row of the next block's reduction, so they equal one sum over
 all frames bit for bit.
 spectrogram, avg_spectrum and analyze all run _spectrogram_stream; with

@@ -15,7 +15,8 @@ the file's frames. `read_wav` collects a file into a Signal.
 interleaved frames, float32 frames taking numpy's cast at the store, so
 no float64 block is made between the producer and the file.
 `ordered_map` runs a function over a pass's block slices on a thread per
-CPU, up to SLOTS, and yields the results in slice order.
+CPU, up to SLOTS, and yields the results in slice order; the threads are
+the pass's own, joined when it ends, so the module keeps no pool.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def frame_blocks(num_frames: int, row_bytes: int):
 
 
 def cpu_count() -> int:
-    """The CPUs this process may run on: what ordered_map's pool is sized by."""
+    """The CPUs this process may run on, read afresh at each call: what an ordered_map pass sizes its threads by."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -55,38 +56,33 @@ def cpu_count() -> int:
 # 1 MiB took 6.2 ms inline and 6.1 ms on two CPUs, of 16 blocks 12.8 and 8.6 ms).
 SLOTS = 4
 
-_pool = None  # (executor, its thread count), made by the first pass that needs it: not once per pass
-
 
 def ordered_map(fn, slices, make_slot):
     """fn(slot, s) for each of `slices`, yielded in order, on up to min(cpu_count(), SLOTS) worker threads.
 
     A pass of at most 2 * SLOTS slices, or a process on one CPU, runs
-    inline with one slot. Otherwise up to threads + 1 calls, and never
-    more than SLOTS, are in flight on one ThreadPoolExecutor made once per
-    process, whose thread count is fixed then; each call is given one of
-    as many slots, which make_slot() makes in the consumer's thread. Call i reuses the
-    slot of call i - slots only once the consumer has asked for the result
-    after that call's, so fn's results may be views of its slot's buffers.
-    The first error in slice order is raised when the consumer reaches it;
-    then, or when the consumer closes the generator, no further call
-    starts and the pending ones are waited for.
+    inline with one slot. Otherwise the pass makes a ThreadPoolExecutor of
+    its own, sized by cpu_count() at the call, with up to threads + 1
+    calls, and never more than SLOTS, in flight; each call is given one of
+    as many slots, which make_slot() makes in the consumer's thread. Call i
+    reuses the slot of call i - slots only once the consumer has asked for
+    the result after that call's, so fn's results may be views of its
+    slot's buffers. The first error in slice order is raised when the
+    consumer reaches it. When the pass ends, fails or is closed, no further
+    call starts and the pool is shut down, its threads joined, so no thread
+    outlives the pass and a forked child starts with none.
     """
-    global _pool
     slices = list(slices)
-    if len(slices) <= 2 * SLOTS or cpu_count() == 1:
+    if len(slices) <= 2 * SLOTS or (threads := min(cpu_count(), SLOTS)) == 1:
         slot = make_slot()
         for s in slices:
             yield fn(slot, s)
         return
     import concurrent.futures  # here, not at import: it would cost every `import upsample_audit` milliseconds
 
-    if _pool is None:
-        threads = min(cpu_count(), SLOTS)
-        _pool = concurrent.futures.ThreadPoolExecutor(threads), threads
-    pool, threads = _pool
-    slots = [make_slot() for _ in range(min(threads + 1, SLOTS, len(slices)))]
+    slots = [make_slot() for _ in range(min(threads + 1, SLOTS))]
     pending = collections.deque()
+    pool = concurrent.futures.ThreadPoolExecutor(threads)
     try:
         for i, s in enumerate(slices):
             if len(pending) == len(slots):
@@ -95,9 +91,7 @@ def ordered_map(fn, slices, make_slot):
         while pending:
             yield pending.popleft().result()
     finally:
-        for future in pending:
-            future.cancel()
-        concurrent.futures.wait(pending)
+        pool.shutdown(cancel_futures=True)
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
@@ -178,10 +172,6 @@ class Signal:
     @property
     def duration_s(self) -> float:
         return self.num_samples / self.sample_rate_hz
-
-    def channel(self, index: int) -> np.ndarray:
-        """One channel as a read-only 1D view."""
-        return self.data[index]
 
 
 def store_rows(out: np.ndarray, block: np.ndarray) -> None:
@@ -301,7 +291,6 @@ _PCM16_SCALE = 32767.0
 # RIFF sizes are 32-bit; the RIFF size counts the data chunk plus up to 48
 # bytes of "WAVE" tag and fmt, fact and data chunk headers.
 MAX_WAV_DATA_BYTES = 0xFFFFFFFF - 48
-_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # float32's largest value plus half a step: rounds to inf
 
 
 def check_wav_size(samples: int, bytes_per_sample: int = 4) -> None:

@@ -36,6 +36,11 @@ PARTIAL_OVERLAP = "partial-overlap"
 _TILE = 1 << 15
 
 
+def _span(lo: int, hi: int, k: int, t: int) -> tuple:
+    """Columns [lo, hi) of a row of k, clamped to the row and widened to t columns, or the whole row when k < t."""
+    return (0, k) if k < t else (max(0, min(lo, k - t)), min(k, max(hi, t)))
+
+
 def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, out=None) -> np.ndarray:
     """Rows of x (C, K), zero-inserted by m and filtered by h, cropped to [start, start+length).
 
@@ -80,9 +85,7 @@ def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, ou
                 if b is None:
                     out[c, n0 : n0 + (qb - qa) * m : m] = 0.0
                     continue
-                lo, hi = max(0, qa - t + 1), min(k, qb)
-                if hi - lo < t:
-                    lo, hi = (0, k) if k < t else (min(lo, k - t), max(hi, t))
+                lo, hi = _span(qa - t + 1, qb, k, t)
                 out[c, n0 : n0 + (qb - qa) * m : m] = np.convolve(x[c, lo:hi], b)[qa - lo : qb - lo]
     return frozen(out) if fresh else out
 
@@ -301,16 +304,15 @@ def _window(x: Blocks, levels: list, a: int, b: int, out=None) -> np.ndarray:
     """Columns [a, b) of the last level's output, `levels` being layer_filter's levels run on x.
 
     Each level reads only the input columns its one kernel call needs: rows
-    q of its window and the T - 1 before them, widened as _polyphase widens
-    a tile (to T columns, or the whole row when K < T), so np.convolve gets
-    the operands, and the result the bits, of one call on the whole row.
+    q of its window and the T - 1 before them, widened by _span as
+    _polyphase widens a tile's input, so np.convolve gets the operands,
+    and the result the bits, of one call on the whole row.
     Those columns are read from x, or are the previous level's window; a
     divisor divides only them.
     """
     *inner, (m, h, start, _, divisor) = levels
     k, t = inner[-1][3] if inner else x.num_samples, -(-len(h) // m)
-    lo, hi = (start + a) // m - t + 1, (start + b - 1) // m + 1
-    lo, hi = (0, k) if k < t else (max(0, min(lo, k - t)), min(k, max(hi, t)))
+    lo, hi = _span((start + a) // m - t + 1, (start + b - 1) // m + 1, k, t)
     cols = _window(x, inner, lo, hi) if inner else x.read(slice(lo, hi))
     if divisor is not None:
         with np.errstate(over="ignore"):  # an inf is refused as a non-finite sample

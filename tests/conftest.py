@@ -17,16 +17,5 @@ os.environ["PYTHONWARNINGS"] = "error"
 
 @pytest.fixture
 def workers(monkeypatch):
-    """workers(count) sets the CPU count an analysis pass sees; each count gets a pool of its own, shut down
-    when the test ends."""
-    monkeypatch.setattr(signals, "_pool", None)
-
-    def use(count):
-        monkeypatch.setattr(signals, "cpu_count", lambda: count)
-        if signals._pool is not None:
-            signals._pool[0].shutdown()
-            signals._pool = None
-
-    yield use
-    if signals._pool is not None:
-        signals._pool[0].shutdown()
+    """workers(count) sets the CPU count each later analysis pass sizes its threads by."""
+    return lambda count: monkeypatch.setattr(signals, "cpu_count", lambda: count)

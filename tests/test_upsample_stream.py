@@ -13,6 +13,8 @@ from upsample_audit import cli
 from upsample_audit import signals as sig
 from upsample_audit.upsamplers import UpsamplerSpec, apply_blocks, wavelet_roundtrip_blocks
 
+FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # float32's largest value plus half a step: rounds to inf
+
 
 def _write(path, data, rate=8000):
     sig.write_wav(path, sig.Signal(data, rate))
@@ -136,7 +138,7 @@ def test_a_later_block_beyond_float32_is_refused_with_its_float64_peak(tmp_path,
         message = "signal samples must be finite"
     else:  # named by the float64 peak of the first block that float32 cannot hold
         peak = next(p for p in (np.abs(blocks.read(cols)).max() for cols in blocks.slices())
-                    if p >= sig._FLOAT32_OVERFLOW)
+                    if p >= FLOAT32_OVERFLOW)
         message = f"a sample of magnitude {peak:g} is beyond float32's range"
     filled = []
 

@@ -1,5 +1,6 @@
 """The analysis pass on worker threads: its outputs do not depend on the worker
-count, a refusal in the middle of a pass stops it cleanly, and the channel
+count, a refusal in the middle of a pass stops it cleanly, no thread outlives
+the pass that made it, so a forked child's pass completes, and the channel
 energies do not depend on BLAS's thread count."""
 
 import concurrent.futures
@@ -67,12 +68,14 @@ def inputs(tmp_path_factory):
 def test_analyze_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys, workers, inputs,
                                                             channels, framing, fs_in, block_bytes):
     monkeypatch.setattr(sig, "BLOCK_BYTES", block_bytes)
+    threads = threading.active_count()
     results = []
     for count in (1, 2):
         workers(count)
         results.append(_analyze(capsys, inputs / f"{channels}.wav", tmp_path / str(count), *framing, *fs_in))
     assert results[0][:2] == (0, [])
     assert results[1] == results[0]
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("block_bytes", [sig.BLOCK_BYTES, 64 << 10], ids=["default", "64KiB"])
@@ -151,6 +154,7 @@ def test_a_refusal_in_the_middle_of_a_pass_stops_it_as_on_one_worker(tmp_path, m
     if patch is not None:
         patch(monkeypatch)
     monkeypatch.setattr(sig, "BLOCK_BYTES", 64 << 10)  # many blocks, and bands of 255 frames
+    threads = threading.active_count()
     results = []
     for count in (1, 2):
         workers(count)
@@ -158,6 +162,7 @@ def test_a_refusal_in_the_middle_of_a_pass_stops_it_as_on_one_worker(tmp_path, m
     assert results[0] == (2, [f"error: {message}"], (None, None, None))
     assert results[1] == results[0]
     assert len(futures) > 3 and all(future.done() for future in futures)
+    assert threading.active_count() == threads
     assert sorted(os.listdir(tmp_path)) == ["1", "2", "in.wav"]
 
 
@@ -180,6 +185,7 @@ def test_a_consumer_that_raises_or_stops_partway_does_not_hang_the_pass(monkeypa
     monkeypatch.setattr(sig, "BLOCK_BYTES", 64 << 10)
     workers(2)
     x = sig.Blocks.of(sig.Signal(_noise(2, N, seed=8), RATE))
+    threads = threading.active_count()
     outcome = []
 
     def raising():
@@ -202,6 +208,7 @@ def test_a_consumer_that_raises_or_stops_partway_does_not_hang_the_pass(monkeypa
         assert not thread.is_alive()
     assert outcome == ["the consumer failed", "closed"]
     assert len(futures) > 3 and all(future.done() for future in futures)
+    assert threading.active_count() == threads
 
 
 def test_a_pass_of_at_most_two_blocks_a_slot_runs_inline(workers, futures):
@@ -220,7 +227,15 @@ def test_every_slot_in_flight_switching_often_gives_the_same_bits(monkeypatch, w
     x = sig.Signal(_noise(2, N, seed=9), RATE)
     workers(1)
     want = ana.spectrogram(x).magnitudes_db, ana.avg_spectrum(x).magnitude_db
-    workers(2 * os.cpu_count() + 1)  # a pool of SLOTS threads, each slot in flight computing
+    sizes = []
+    init = concurrent.futures.ThreadPoolExecutor.__init__
+
+    def recorded(pool, max_workers=None, *args, **kwargs):
+        sizes.append(max_workers)
+        init(pool, max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__", recorded)
+    workers(2 * os.cpu_count() + 1)  # a pool of SLOTS threads for each pass, each slot in flight computing
     got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -233,7 +248,50 @@ def test_every_slot_in_flight_switching_often_gives_the_same_bits(monkeypatch, w
         sys.setswitchinterval(interval)
     assert not thread.is_alive()
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    assert sig._pool[1] == sig.SLOTS
+    assert sizes == [sig.SLOTS, sig.SLOTS]
+
+
+FORKED = """
+import hashlib, os, signal, time
+import numpy as np
+from upsample_audit import analysis as ana, signals as sig
+sig.cpu_count = lambda: 2
+x = sig.Signal(np.random.Generator(np.random.Philox(13)).uniform(-1.0, 1.0, 1 << 20), 32000)  # 16 frame blocks
+
+
+def digest():
+    return hashlib.sha256(ana.avg_spectrum(x).magnitude_db.tobytes()).hexdigest()
+
+
+def os_threads():
+    with open("/proc/self/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[17])
+
+
+print(digest(), flush=True)
+# Python 3.12 warns on a fork while the OS counts more than one thread, and a joined thread
+# may take a moment to leave that count; a thread that outlives the pass never does.
+deadline = time.monotonic() + 5
+while os.path.exists("/proc/self/stat") and os_threads() > 1 and time.monotonic() < deadline:
+    time.sleep(0.001)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)  # a child that hangs is killed, and so fails
+    print(digest(), flush=True)
+    os._exit(0)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_a_pass_on_threads_in_a_forked_child_completes_with_the_parents_bits():
+    # A fresh process, so that no thread of the test process is there at the fork, and no BLAS
+    # threads either: only the pass's threads can be there.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", FORKED], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split()  # the parent's digest, the child's, and the child's exit code
+    assert lines == [lines[0], lines[0], "0"]
 
 
 ENERGIES = """
