@@ -5,23 +5,15 @@ insertion plus one FIR filter per level, read from one table in config.py.
 """
 
 from .config import (
-    FULL_OVERLAP,
     KINDS,
-    NO_OVERLAP,
-    PARTIAL_OVERLAP,
     WAVELET_KINDS,
     UpsamplerSpec,
     apply,
     apply_blocks,
-    classify_overlap,
     largest_array,
-    periodic_shuffle,
-    periodic_unshuffle,
     random_filters,
     rectangular_filter,
     sinc_filter,
-    subpixel_conv,
-    transposed_conv,
     triangular_filter,
     wavelet_roundtrip,
     wavelet_roundtrip_blocks,
@@ -51,14 +43,6 @@ __all__ = [
     "random_filters",
     "wavelet_roundtrip",
     "wavelet_roundtrip_blocks",
-    "FULL_OVERLAP",
-    "NO_OVERLAP",
-    "PARTIAL_OVERLAP",
-    "classify_overlap",
-    "periodic_shuffle",
-    "periodic_unshuffle",
-    "subpixel_conv",
-    "transposed_conv",
     "rectangular_filter",
     "sinc_filter",
     "triangular_filter",

@@ -7,15 +7,16 @@ zeros. `_FILTERS` holds each kind's h and kept window: [1] for stretch;
 the rectangular, triangular and windowed-sinc prototypes (DC gain M, so a
 constant input maps to itself); seeded random filters for transposed and
 subpixel; per wavelet cascade level, with the detail band at zero, the
-base's two-tap synthesis lowpass. `apply`, `largest_array` and the dense
-convolutions read the table. `apply_blocks` and `wavelet_roundtrip_blocks`
-read a layer's input as `signals.Blocks` and give its output as Blocks,
-which carry the output rate and length before any sample is computed and
-fill a block at a time into any float view (the file's float32 frames when
-written, a float64 array when `apply` collects them into a Signal), each
-block reading only the input columns it needs. Overlap classification and
-the periodic shuffle, two more views of the convolution layers, close the
-module.
+base's two-tap synthesis lowpass. `apply` and `largest_array` read the
+table. `apply_blocks` and `wavelet_roundtrip_blocks` read a layer's input
+as `signals.Blocks` and give its output as Blocks, which carry the output
+rate and length before any sample is computed and fill a block at a time
+into any float view (the file's float32 frames when written, a float64
+array when `apply` collects them into a Signal), each block reading only
+the input columns it needs. The transposed and subpixel kinds are the
+depthwise (one filter per channel) case of the dense O×C layers; the tests
+hold those dense layers, written out apart from this kernel, as the
+reference `apply` is checked against.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ import numpy as np
 
 from ..signals import Blocks, Signal, _rng, frozen, store_rows
 from .wavelets import LiftingParams, WaveletFilters, cascade_analysis, cascade_synthesis
-
-NO_OVERLAP = "no-overlap"
-FULL_OVERLAP = "full-overlap"
-PARTIAL_OVERLAP = "partial-overlap"
-
 
 # Output samples per tile of _polyphase: 256 KiB of float64, inside a core's L2.
 _TILE = 1 << 15
@@ -90,8 +86,18 @@ def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, ou
     return frozen(out) if fresh else out
 
 
+def _integer(name: str, value) -> int:
+    """value as an int: 4.0 and numpy integers pass, and 4.5 is refused instead of truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, a string, nan or inf
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_factor(m: int) -> int:
-    m = int(m)
+    m = _integer("factor", m)
     if m < 2:
         raise ValueError(f"upsampling factor must be at least 2, got {m}")
     return m
@@ -115,7 +121,7 @@ def triangular_filter(m: int) -> np.ndarray:
 
 def _sinc_taps(m: int, taps: int | None) -> int:
     """The sinc tap count for factor M: odd and at least 4M+1, default 8M+1."""
-    taps = 8 * m + 1 if taps is None else int(taps)
+    taps = 8 * m + 1 if taps is None else _integer("sinc_taps", taps)
     if taps % 2 == 0:
         raise ValueError(f"sinc tap count must be odd, got {taps}")
     if taps < 4 * m + 1:
@@ -217,8 +223,8 @@ class UpsamplerSpec:
         if self.kind == "transposed":
             if self.filter_length is None or self.stride is None:
                 raise ValueError("transposed layers require filter_length and stride")
-            object.__setattr__(self, "filter_length", int(self.filter_length))
-            object.__setattr__(self, "stride", int(self.stride))
+            object.__setattr__(self, "filter_length", _integer("filter_length", self.filter_length))
+            object.__setattr__(self, "stride", _integer("stride", self.stride))
             if self.stride < 1 or self.filter_length < self.stride:
                 raise ValueError(
                     f"need filter_length >= stride >= 1, got ({self.filter_length}, {self.stride})"
@@ -230,14 +236,14 @@ class UpsamplerSpec:
         if self.kind == "subpixel":
             if self.filter_length is None:
                 raise ValueError("subpixel layers require filter_length")
-            object.__setattr__(self, "filter_length", int(self.filter_length))
+            object.__setattr__(self, "filter_length", _integer("filter_length", self.filter_length))
             if self.filter_length < 1:
                 raise ValueError(f"filter_length must be positive, got {self.filter_length}")
         if self.kind == "sinc" and self.sinc_taps is not None:
             object.__setattr__(self, "sinc_taps", _sinc_taps(self.factor, self.sinc_taps))
         if self.kind == "wavelet-lifting" and self.lifting is None:
             raise ValueError("wavelet-lifting layers require a LiftingParams triple")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -368,110 +374,3 @@ def wavelet_roundtrip(spec: UpsamplerSpec, x: Signal) -> Signal:
     wavelet_roundtrip_blocks, collected."""
     return wavelet_roundtrip_blocks(spec, x).signal()
 
-
-def _check_filters(filters: np.ndarray, in_channels: int) -> np.ndarray:
-    w = np.asarray(filters, dtype=np.float64)
-    if w.ndim != 3:
-        raise ValueError(f"filters must have shape (out_channels, in_channels, length), got ndim={w.ndim}")
-    if w.shape[1] != in_channels:
-        raise ValueError(f"filter in-channel count {w.shape[1]} does not match input channels {in_channels}")
-    if w.shape[2] < 1:
-        raise ValueError("filters must have at least one tap")
-    return w
-
-
-def _dense(kind: str, x: Signal, hs: np.ndarray, m: int) -> Signal:
-    """Output row o sums input row c through hs[o, c], zero-inserted by m, in kind's window."""
-    _, _, window, _ = _FILTERS[kind]
-    start, length = window(m, hs.shape[2], x.num_samples)
-    out = np.zeros((hs.shape[0], length))
-    for o in range(hs.shape[0]):
-        for c in range(x.channels):
-            out[o] += _polyphase(x.data[c : c + 1], hs[o, c], m, start, length)[0]
-    return Signal(frozen(out), m * x.sample_rate_hz)
-
-
-def transposed_conv(x: Signal, filters: np.ndarray, stride: int) -> Signal:
-    """y_o[n] = sum_c sum_k x_c[k] * w_{o,c}[n - k*stride].
-
-    Each input sample stamps a weighted copy of the kernel every `stride`
-    output samples; the full (K-1)*stride + L output is returned without
-    cropping. Output rate is stride times the input rate. When the kernel
-    copies have unequal overlap counts (see classify_overlap) the summed
-    pattern repeats every stride samples, which is the periodicity behind
-    the tonal artifacts this layer can introduce.
-    """
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    w = _check_filters(filters, x.channels)
-    if w.shape[2] < stride:
-        raise ValueError(f"filter length {w.shape[2]} must be at least the stride {stride}")
-    return _dense("transposed", x, w, stride)
-
-
-def subpixel_conv(x: Signal, filters: np.ndarray, m: int) -> Signal:
-    """Same-padded stride-1 convolution to M*C_out channels, then periodic shuffle.
-
-    Output channel o interleaves the M streams of filters oM..oM+M-1, so
-    the shuffle is the kernel's interleave: h[tM+j] = w[oM+j, c, t]. When
-    the sub-filters' energies differ, the interleaving imprints an
-    M-periodic pattern on the output.
-    """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"upsampling factor must be positive, got {m}")
-    w = _check_filters(filters, x.channels)
-    if w.shape[0] % m:
-        raise ValueError(f"filter output-channel count {w.shape[0]} not divisible by factor {m}")
-    o, c, taps = w.shape
-    return _dense("subpixel", x, w.reshape(o // m, m, c, taps).transpose(0, 2, 3, 1).reshape(o // m, c, -1), m)
-
-
-def classify_overlap(length: int, stride: int) -> str:
-    """Overlap regime of a transposed convolution.
-
-    no-overlap when length == stride; full-overlap when length is a larger
-    multiple of the stride; partial-overlap otherwise (consecutive kernel
-    copies overlap on some output samples but not uniformly).
-    """
-    length, stride = int(length), int(stride)
-    if length < 1 or stride < 1:
-        raise ValueError(f"length and stride must be positive, got ({length}, {stride})")
-    if length == stride:
-        return NO_OVERLAP
-    if length > stride and length % stride == 0:
-        return FULL_OVERLAP
-    return PARTIAL_OVERLAP
-
-
-def periodic_shuffle(z: Signal, m: int) -> Signal:
-    """Interleave channel groups into time: y_c[kM+j] = z_{cM+j}[k].
-
-    Bijective; m=1 is the identity. The channel count must be divisible
-    by m.
-    """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"shuffle factor must be positive, got {m}")
-    if z.channels % m:
-        raise ValueError(f"channel count {z.channels} not divisible by factor {m}")
-    c_out = z.channels // m
-    data = z.data.reshape(c_out, m, z.num_samples)
-    out = data.transpose(0, 2, 1).reshape(c_out, z.num_samples * m)
-    return Signal(out, m * z.sample_rate_hz)
-
-
-def periodic_unshuffle(y: Signal, m: int) -> Signal:
-    """Inverse of periodic_shuffle: split time into m interleaved channels."""
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"shuffle factor must be positive, got {m}")
-    if y.num_samples % m:
-        raise ValueError(f"time length {y.num_samples} not divisible by factor {m}")
-    if y.sample_rate_hz % m:
-        raise ValueError(f"sample rate {y.sample_rate_hz} not divisible by factor {m}")
-    steps = y.num_samples // m
-    data = y.data.reshape(y.channels, steps, m)
-    out = data.transpose(0, 2, 1).reshape(y.channels * m, steps)
-    return Signal(out, y.sample_rate_hz // m)

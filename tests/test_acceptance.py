@@ -13,12 +13,17 @@ import time
 import numpy as np
 import pytest
 
-from upsample_audit import analysis as ana
-from upsample_audit.signals import Signal, ones, read_wav, tone, white_noise
-from upsample_audit.upsamplers import (
+from dense_reference import (
     FULL_OVERLAP,
     NO_OVERLAP,
     PARTIAL_OVERLAP,
+    classify_overlap,
+    periodic_shuffle,
+    periodic_unshuffle,
+)
+from upsample_audit import analysis as ana
+from upsample_audit.signals import Signal, ones, read_wav, tone, white_noise
+from upsample_audit.upsamplers import (
     HAAR_PARAMS,
     LiftingParams,
     UpsamplerSpec,
@@ -26,12 +31,9 @@ from upsample_audit.upsamplers import (
     apply,
     cascade_analysis,
     cascade_synthesis,
-    classify_overlap,
     haar_analysis,
     lifting_analysis,
     lifting_param_grads,
-    periodic_shuffle,
-    periodic_unshuffle,
     rectangular_filter,
     sinc_filter,
     triangular_filter,

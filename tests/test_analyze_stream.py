@@ -1,6 +1,8 @@
 """analyze streams its WAV file: its outputs against references built from the
 whole signal, with read blocks that split frames and hops; refusals found
-during or after the pass; and its memory bound."""
+during or after the pass; and its memory bound. A test that shrinks BLOCK_BYTES
+runs on one worker, so the host's CPU count does not pick its path; pooled
+passes of small blocks are test_workers.py's."""
 
 import dataclasses
 import json
@@ -89,8 +91,8 @@ CASES = [
 
 
 @pytest.mark.parametrize("channels, fmt, hop, window, fs_in, block", CASES)
-def test_streamed_outputs_equal_the_whole_signal_references(tmp_path, monkeypatch, capsys, channels, fmt, hop,
-                                                           window, fs_in, block):
+def test_streamed_outputs_equal_the_whole_signal_references(tmp_path, monkeypatch, capsys, workers, channels, fmt,
+                                                           hop, window, fs_in, block):
     src = tmp_path / "in.wav"
     _write(src, _noise(channels, N, seed=hop + channels), fmt)
     out_dir = tmp_path / "out"
@@ -98,6 +100,7 @@ def test_streamed_outputs_equal_the_whole_signal_references(tmp_path, monkeypatc
     flags = ["--hop", hop, "--window", window] + ([] if fs_in is None else ["--fs-in", fs_in, "--factor", 4])
     paths = {name: str(out_dir / name) for name in ("r.json", "s.csv", "s.pgm")}
     want = _reference(src, paths, 512, hop, window, fs_in, None if fs_in is None else 4)
+    workers(1)
     monkeypatch.setattr(sig, "BLOCK_BYTES", block if block == ODD else block * 8 * channels)
     code, captured, paths = _analyze(capsys, src, out_dir, *flags)
     assert (code, captured.err) == (0, "")
@@ -132,7 +135,7 @@ REFUSALS = {
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 @pytest.mark.parametrize("fault", REFUSALS)
-def test_refusals_during_or_after_the_pass_write_nothing(tmp_path, monkeypatch, capsys, fault, existing):
+def test_refusals_during_or_after_the_pass_write_nothing(tmp_path, monkeypatch, capsys, workers, fault, existing):
     make, flags, message = REFUSALS[fault]
     src = tmp_path / "in.wav"
     make(src)
@@ -142,6 +145,7 @@ def test_refusals_during_or_after_the_pass_write_nothing(tmp_path, monkeypatch, 
         for name in ("r.json", "s.csv", "s.pgm"):
             (out_dir / name).write_bytes(b"kept " + name.encode())
     before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+    workers(1)
     monkeypatch.setattr(sig, "BLOCK_BYTES", 4096)  # several read blocks
     code, captured, _ = _analyze(capsys, src, out_dir, *flags)
     assert (code, captured.out) == (2, "")
@@ -149,13 +153,14 @@ def test_refusals_during_or_after_the_pass_write_nothing(tmp_path, monkeypatch, 
     assert {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)} == before
 
 
-def test_csv_over_its_own_input_reads_it_first(tmp_path, monkeypatch, capsys):
+def test_csv_over_its_own_input_reads_it_first(tmp_path, monkeypatch, capsys, workers):
     # As when the whole file was read before any export: the CSV of the old
     # file replaces it, and the report describes the old file.
     src = tmp_path / "x.wav"
     _write(src, _noise(2, N, seed=4))
     x = sig.read_wav(src)
     np.savetxt(tmp_path / "want.csv", ana.spectrogram(x).magnitudes_db, fmt="%.6f", delimiter=",", newline="\n")
+    workers(1)
     monkeypatch.setattr(sig, "BLOCK_BYTES", 4096)
     report = tmp_path / "r.json"
     assert cli.main(["analyze", "--in", str(src), "--report", str(report), "--csv", str(src)]) == 0
@@ -217,11 +222,12 @@ def test_outputs_naming_one_file_are_refused(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["in.wav", "link.csv"]
 
 
-def test_a_read_error_during_the_pass_names_the_input_and_leaves_no_csv(tmp_path, monkeypatch, capsys):
+def test_a_read_error_during_the_pass_names_the_input_and_leaves_no_csv(tmp_path, monkeypatch, capsys, workers):
     # The CSV is open when the input fails, and the error keeps the input's
     # path: only opening and moving the CSV's own file are named by --csv.
     src = tmp_path / "in.wav"
     _write(src, _noise(1, N, seed=7))
+    workers(1)
     monkeypatch.setattr(sig, "BLOCK_BYTES", 4096)  # several read blocks
     wav_blocks = sig.wav_blocks
 
@@ -242,7 +248,8 @@ def test_a_read_error_during_the_pass_names_the_input_and_leaves_no_csv(tmp_path
 
 
 @pytest.mark.parametrize("agreeing, refused", [(99, True), (100, False), (101, False)])
-def test_cancellation_boundary_with_sums_split_into_blocks(tmp_path, monkeypatch, capsys, agreeing, refused):
+def test_cancellation_boundary_with_sums_split_into_blocks(tmp_path, monkeypatch, capsys, workers, agreeing,
+                                                           refused):
     # Left is all ones; right is minus one but for `agreeing` samples of plus
     # one spread over the file, so the mixdown energy is `agreeing` and the
     # mean channel energy 10,000, and both are exact sums however they are
@@ -254,6 +261,7 @@ def test_cancellation_boundary_with_sums_split_into_blocks(tmp_path, monkeypatch
     x = sig.Signal(np.stack([np.ones(n), right]), RATE)
     src = tmp_path / "in.wav"
     sig.write_wav(src, x)
+    workers(1)
     monkeypatch.setattr(sig, "BLOCK_BYTES", 8 * 777)  # frame blocks of one frame, so reads of 512 samples
     code, captured, _ = _analyze(capsys, src, tmp_path)
     library_refuses = False
@@ -288,24 +296,26 @@ def _library_refusal(x):
 
 
 @pytest.mark.parametrize("agreeing", [99, 100])
-def test_cancellation_counts_each_sample_once(tmp_path, monkeypatch, capsys, agreeing):
+def test_cancellation_counts_each_sample_once(tmp_path, monkeypatch, capsys, workers, agreeing):
     src = tmp_path / "in.wav"
     _write(src, _on_the_line(agreeing))
     want = _library_refusal(sig.read_wav(src))
     assert (want is not None) == (agreeing == 99)
+    workers(1)
     monkeypatch.setattr(sig, "BLOCK_BYTES", SEVEN_FRAMES)
     code, captured, _ = _analyze(capsys, src, tmp_path)
     assert (code, captured.err.splitlines()) == ((0, []) if want is None else (2, [f"error: {want}"]))
 
 
 @pytest.mark.parametrize("agreeing", [None, 99, 100], ids=["noise", "refused", "kept"])
-def test_frame_blocks_in_reverse_order_equal_those_in_order(tmp_path, monkeypatch, agreeing):
+def test_frame_blocks_in_reverse_order_equal_those_in_order(tmp_path, monkeypatch, workers, agreeing):
     # Each frame block reads its own samples, so the blocks can be computed
     # in any order: the |rFFT| blocks are the same bits, and the refusal
     # (its sums exact, so in any order) is the library's.
     src = tmp_path / "in.wav"
     _write(src, _noise(2, 10_000, seed=11) if agreeing is None else _on_the_line(agreeing))
     x = sig.read_wav(src)
+    workers(1)
     monkeypatch.setattr(sig, "BLOCK_BYTES", SEVEN_FRAMES)
     results = []
     for order in (list, reversed):

@@ -1,22 +1,20 @@
-"""Transposed and subpixel convolution layers plus overlap classification."""
+"""The dense transposed and subpixel convolution reference, overlap classification, and apply against it."""
 
 import numpy as np
 import pytest
 
-from upsample_audit.signals import Signal, white_noise
-from upsample_audit.upsamplers import (
+from dense_reference import (
     FULL_OVERLAP,
     NO_OVERLAP,
     PARTIAL_OVERLAP,
-    UpsamplerSpec,
-    apply,
     classify_overlap,
     periodic_shuffle,
     periodic_unshuffle,
-    random_filters,
     subpixel_conv,
     transposed_conv,
 )
+from upsample_audit.signals import Signal, white_noise
+from upsample_audit.upsamplers import UpsamplerSpec, apply, random_filters
 
 
 class TestClassifyOverlap:
@@ -182,6 +180,31 @@ class TestSubpixelConv:
         z = Signal(np.ones((1, 8)), 8000)
         with pytest.raises(ValueError, match="divisible"):
             subpixel_conv(z, np.ones((3, 1, 5)), 2)
+
+
+@pytest.mark.parametrize("length", ["M", 9, 17])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("kind", ["transposed", "subpixel"])
+def test_apply_equals_the_dense_layer_with_diagonal_filters(kind, channels, m, length):
+    # apply runs one filter per channel: the dense layer whose filter from
+    # channel c to channel o is zero unless o == c.
+    length = m if length == "M" else length
+    x = Signal(np.random.Generator(np.random.Philox(100 * m + length)).uniform(-1.0, 1.0, (channels, 37)), 8000)
+    if kind == "transposed":
+        spec = UpsamplerSpec(kind=kind, factor=m, filter_length=length, stride=m, seed=channels)
+        w = np.zeros((channels, channels, length))
+        w[range(channels), range(channels)] = random_filters(spec)[0, 0]
+        want = transposed_conv(x, w, m)
+    else:
+        spec = UpsamplerSpec(kind=kind, factor=m, filter_length=length, seed=channels)
+        w = np.zeros((channels * m, channels, length))
+        for c in range(channels):
+            w[c * m : (c + 1) * m, c] = random_filters(spec)[:, 0]
+        want = subpixel_conv(x, w, m)
+    got = apply(spec, x)
+    assert got.sample_rate_hz == want.sample_rate_hz
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
 
 
 class TestRandomFilters:

@@ -2,8 +2,9 @@
 
 apply_blocks(spec, x) carries the output rate M*fs and length (M*K, (K-1)*S + L
 for transposed, M*K - M/2 for a padded wavelet input) without running the
-kernel, and apply(spec, x) has that shape. hypothesis comes from the `test`
-extra.
+kernel, and apply(spec, x) has that shape. UpsamplerSpec refuses a
+parameter that is not integral instead of truncating it. hypothesis comes
+from the `test` extra.
 """
 
 import numpy as np
@@ -55,3 +56,24 @@ def test_blocks_carry_the_rate_and_length_before_any_sample(case):
     assert (blocks.channels, blocks.num_samples, blocks.sample_rate_hz) == (x.channels, length, m * x.sample_rate_hz)
     y = apply(spec, x)
     assert (y.data.shape, y.sample_rate_hz) == ((x.channels, length), m * x.sample_rate_hz)
+
+
+@pytest.mark.parametrize("fields, name", [
+    (dict(kind="sinc", factor=4.5), "factor"),
+    (dict(kind="nearest", factor=float("nan")), "factor"),
+    (dict(kind="transposed", factor=4, filter_length=9.9, stride=4), "filter_length"),
+    (dict(kind="transposed", factor=4, filter_length=9, stride=4.5), "stride"),
+    (dict(kind="subpixel", factor=4, filter_length=np.float64(2.5)), "filter_length"),
+    (dict(kind="sinc", factor=4, sinc_taps=33.7), "sinc_taps"),
+    (dict(kind="sinc", factor=4, seed=3.9), "seed"),
+])
+def test_a_non_integral_parameter_is_refused_not_truncated(fields, name):
+    with pytest.raises(ValueError) as info:
+        UpsamplerSpec(**fields)
+    assert str(info.value) == f"{name} must be an integer, got {fields[name]!r}"
+
+
+def test_integral_floats_and_numpy_integers_are_taken_as_ints():
+    spec = UpsamplerSpec(kind="subpixel", factor=4.0, filter_length=np.int32(9), seed=np.uint8(3))
+    assert spec == UpsamplerSpec(kind="subpixel", factor=4, filter_length=9, seed=3)
+    assert [type(v) for v in (spec.factor, spec.filter_length, spec.seed)] == [int, int, int]

@@ -2,8 +2,8 @@
 
 Stretch, nearest, linear, sinc and transposed are zero insertion followed by
 an FIR filter, which scipy.signal.upfirdn computes directly. Subpixel is M
-same-padded convolutions interleaved, computed here one branch at a time
-with np.convolve. A wavelet kind with zero detail bands is, per cascade
+same-padded convolutions interleaved, computed one branch at a time with
+np.convolve by `dense_reference.subpixel_streams`. A wavelet kind with zero detail bands is, per cascade
 level, upfirdn by 2 of the base's two-tap synthesis lowpass (lifting after
 dividing the input by A), dropping a padded input's pad at the first level.
 Both scipy and hypothesis come from the `test` extra.
@@ -18,6 +18,7 @@ scipy_signal = pytest.importorskip("scipy.signal")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import subpixel_conv, subpixel_streams, transposed_conv
 from upsample_audit.signals import Signal
 from upsample_audit.upsamplers import (
     KINDS,
@@ -27,8 +28,6 @@ from upsample_audit.upsamplers import (
     random_filters,
     rectangular_filter,
     sinc_filter,
-    subpixel_conv,
-    transposed_conv,
     triangular_filter,
 )
 
@@ -41,13 +40,6 @@ def _upfirdn(row, h, m, start, length):
     out = np.zeros(start + length)
     out[: min(full.size, out.size)] = full[: out.size]
     return out[start:]
-
-
-def _subpixel(row, branches):
-    """Interleave the same-padded convolutions of row with each branch."""
-    half = (branches.shape[1] - 1) // 2
-    streams = [np.convolve(row, b)[half : half + row.size] for b in branches]
-    return np.stack(streams, axis=1).reshape(-1)
 
 
 def _wavelet_oracle(spec, x, padded):
@@ -69,7 +61,7 @@ def _oracle(spec, x, padded):
     if spec.kind.startswith("wavelet-"):
         return _wavelet_oracle(spec, x, padded)
     if spec.kind == "subpixel":
-        return np.stack([_subpixel(row, random_filters(spec)[:, 0]) for row in x])
+        return np.stack([subpixel_streams(row, random_filters(spec)[:, 0]) for row in x])
     if spec.kind == "transposed":
         h = random_filters(spec)[0, 0]
         start, length = 0, (k - 1) * m + h.size
@@ -143,7 +135,7 @@ def test_dense_layers_sum_over_input_channels(m, length, in_channels, out_channe
 
     y = subpixel_conv(Signal(x, 8000), ws, m)
     expected = [
-        sum(_subpixel(x[c], ws[o * m : (o + 1) * m, c]) for c in range(in_channels))
+        sum(subpixel_streams(x[c], ws[o * m : (o + 1) * m, c]) for c in range(in_channels))
         for o in range(out_channels)
     ]
     np.testing.assert_allclose(y.data, np.stack(expected), rtol=0, atol=1e-12)

@@ -1,4 +1,7 @@
-"""The blocked STFT front end against one-shot numpy references, and its memory bounds."""
+"""The blocked STFT front end against one-shot numpy references, and its memory bounds.
+
+A test that shrinks BLOCK_BYTES runs on one worker, so the host's CPU count does not pick its path.
+"""
 
 import tracemalloc
 
@@ -109,9 +112,10 @@ def test_one_pass_matches_the_two_calls(channels, window, hop):
 
 @pytest.mark.parametrize("frames_per_block", [1, 3, 7, 200])
 @pytest.mark.parametrize("hop", [2, 64])
-def test_one_pass_with_blocks_that_split_the_stride(monkeypatch, frames_per_block, hop):
+def test_one_pass_with_blocks_that_split_the_stride(monkeypatch, workers, frames_per_block, hop):
     # Blocks whose starts are no multiple of the avg_spectrum stride
     # (WINDOW/2 // hop frames), and blocks that hold no averaged frame at all.
+    workers(1)
     monkeypatch.setattr(signals, "BLOCK_BYTES", frames_per_block * ana.SLOTS * 8 * WINDOW)
     x = _signal(2, 20 * WINDOW // (2 * hop) + 5, hop, seed=frames_per_block)
     view, spectrum = spectrogram_and_average(x, WINDOW, hop)
