@@ -49,10 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (
-    BLOCK_BYTES, SLOTS, Blocks, Signal, _all_finite, frame_blocks, frozen, ordered_map, readonly_float64,
-    white_noise,
+    BLOCK_BYTES, SLOTS, Blocks, Signal, _all_finite, _integer, frame_blocks, frozen, ordered_map,
+    readonly_float64, white_noise,
 )
-from .upsamplers.config import WAVELET_KINDS, UpsamplerSpec, apply
+from .upsamplers.config import WAVELET_KINDS, UpsamplerSpec, _check_factor, apply
 from .upsamplers.wavelets import LiftingParams, cascade_analysis, cascade_synthesis, detail_shapes
 
 DB_FLOOR = -120.0
@@ -237,7 +237,7 @@ class Spectrogram:
 
 def spectrogram(x: Signal, window_size: int = 512, hop: int = 128, window: str = "hann") -> Spectrogram:
     """Magnitude STFT in dB. window_size must be a power of two, hop <= window_size."""
-    window_size, hop = int(window_size), int(hop)
+    window_size, hop = _integer("window_size", window_size), _integer("hop", hop)
     db, _ = _spectrogram_stream(Blocks.of(x), window_size, hop, window,
                                 lambda frames: np.empty((frames, window_size // 2 + 1)), False)
     return Spectrogram(frozen(db), x.sample_rate_hz, window_size, hop, window)
@@ -280,7 +280,7 @@ class AveragedSpectrum:
 
 def avg_spectrum(x: Signal, window_size: int = 512) -> AveragedSpectrum:
     """Mean per-frame STFT magnitude: Hann window, 50% overlap, at least 16 frames."""
-    window_size = int(window_size)
+    window_size = _integer("window_size", window_size)
     return _spectrogram_stream(Blocks.of(x), window_size, window_size // 2, "hann", None, True)[1]
 
 
@@ -351,8 +351,7 @@ def average_spectra(spectra) -> AveragedSpectrum:
 
 def replica_frequencies(fs_in: int, factor: int) -> list:
     """Spectral replica centers k*fs_in for k = 1..factor//2 (all inside the output Nyquist)."""
-    if factor < 2:
-        raise ValueError(f"upsampling factor must be at least 2, got {factor}")
+    factor = _check_factor(factor)
     if fs_in <= 0:
         raise ValueError(f"input rate must be positive, got {fs_in}")
     return [float(k * fs_in) for k in range(1, factor // 2 + 1)]
@@ -402,8 +401,7 @@ def band_attenuation(spectrum: AveragedSpectrum, fs_in: int, factor: int) -> np.
     and every band must hold at least one bin: a band narrower than one
     rFFT bin is refused, as its mean would be empty.
     """
-    if factor < 2:
-        raise ValueError(f"upsampling factor must be at least 2, got {factor}")
+    factor = _check_factor(factor)
     span = factor * fs_in / 2.0
     if spectrum.freqs_hz[-1] < span * (1.0 - 1e-9):
         raise ValueError(
@@ -525,7 +523,8 @@ def measure_response(
 
 def analytic_response(taps: np.ndarray, window_size: int, fs_out: int) -> FrequencyResponse:
     """DFT magnitude of an FIR filter on the measurement grid, 0 dB at DC."""
-    mags = np.abs(np.fft.rfft(np.asarray(taps, dtype=np.float64), int(window_size)))
+    window_size = _integer("window_size", window_size)
+    mags = np.abs(np.fft.rfft(np.asarray(taps, dtype=np.float64), window_size))
     db = 20.0 * np.log10(np.maximum(mags, 1e-15))
     return FrequencyResponse(_rfft_freqs(fs_out, window_size), db - db[0], fs_out)
 

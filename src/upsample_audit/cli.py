@@ -457,26 +457,10 @@ def _response_suite(suite: _Suite) -> None:
     bands = ana.band_attenuation(ana.average_spectra(spectra), _FS_IN, _FACTOR)
     suite.at_most("stretch band attenuation spread", float(np.max(np.abs(bands))), 1.0)
 
-    suite.at_most(
-        "nearest x4 vs analytic rectangular response",
-        _masked_response_diff(UpsamplerSpec(kind="nearest", factor=4, seed=13)),
-        1.0,
-    )
-    suite.at_most(
-        "linear x4 vs analytic triangular response",
-        _masked_response_diff(UpsamplerSpec(kind="linear", factor=4, seed=14)),
-        1.0,
-    )
-    suite.at_most(
-        "sinc x4 vs analytic windowed-sinc response",
-        _masked_response_diff(UpsamplerSpec(kind="sinc", factor=4, seed=15)),
-        1.0,
-    )
-    suite.at_most(
-        "nearest x2 vs analytic two-tap response",
-        _masked_response_diff(UpsamplerSpec(kind="nearest", factor=2, seed=16)),
-        1.0,
-    )
+    for kind, factor, seed, reference in (("nearest", 4, 13, "rectangular"), ("linear", 4, 14, "triangular"),
+                                          ("sinc", 4, 15, "windowed-sinc"), ("nearest", 2, 16, "two-tap")):
+        suite.at_most(f"{kind} x{factor} vs analytic {reference} response",
+                      _masked_response_diff(UpsamplerSpec(kind=kind, factor=factor, seed=seed)), 1.0)
 
     noise_specs = {}
     for kind in ("nearest", "linear", "sinc"):

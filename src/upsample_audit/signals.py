@@ -118,6 +118,16 @@ def readonly_float64(data) -> np.ndarray:
     return data
 
 
+def _integer(name: str, value) -> int:
+    """value as an int: 4.0 and numpy integers pass, and 4.5 is refused instead of truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, a string, nan or inf
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _all_finite(arr: np.ndarray) -> bool:
     """Whether every value of arr is finite, read from its min and max.
 
@@ -139,7 +149,8 @@ class Signal:
     signal. Every sample is checked to be finite either way, from the
     data's min and max (`_all_finite`). `padded` marks a signal whose final
     sample is a zero appended by a wavelet analysis step on odd-length
-    input, so the matching synthesis step can trim it.
+    input, so the matching synthesis step can trim it. The rate must be a
+    positive integer (see _integer: 8000.0 passes, 8000.7 is refused).
     """
 
     data: np.ndarray
@@ -156,10 +167,11 @@ class Signal:
             raise ValueError("signal must contain at least one sample")
         if not _all_finite(arr):
             raise ValueError("signal samples must be finite")
-        if int(self.sample_rate_hz) <= 0:
+        rate = _integer("sample_rate_hz", self.sample_rate_hz)
+        if rate <= 0:
             raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
+        object.__setattr__(self, "sample_rate_hz", rate)
 
     @property
     def channels(self) -> int:

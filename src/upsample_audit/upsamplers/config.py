@@ -13,7 +13,8 @@ as `signals.Blocks` and give its output as Blocks, which carry the output
 rate and length before any sample is computed and fill a block at a time
 into any float view (the file's float32 frames when written, a float64
 array when `apply` collects them into a Signal), each block reading only
-the input columns it needs. The transposed and subpixel kinds are the
+the input columns it needs. Each level of a wavelet cascade is Blocks over
+the last. The transposed and subpixel kinds are the
 depthwise (one filter per channel) case of the dense O×C layers; the tests
 hold those dense layers, written out apart from this kernel, as the
 reference `apply` is checked against.
@@ -22,10 +23,11 @@ reference `apply` is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ..signals import Blocks, Signal, _rng, frozen, store_rows
+from ..signals import Blocks, Signal, _integer, _rng, store_rows
 from .wavelets import LiftingParams, WaveletFilters, cascade_analysis, cascade_synthesis
 
 # Output samples per tile of _polyphase: 256 KiB of float64, inside a core's L2.
@@ -37,7 +39,7 @@ def _span(lo: int, hi: int, k: int, t: int) -> tuple:
     return (0, k) if k < t else (max(0, min(lo, k - t)), min(k, max(hi, t)))
 
 
-def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, out=None) -> np.ndarray:
+def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, out: np.ndarray) -> np.ndarray:
     """Rows of x (C, K), zero-inserted by m and filtered by h, cropped to [start, start+length).
 
     The full output has M*(K+T-1) samples per row, T = ceil(len(h)/M): with
@@ -49,10 +51,9 @@ def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, ou
     at least T samples long, or the whole row when K < T, so np.convolve
     never swaps its arguments where the whole-row call would not, and each
     sample is the same dot product over the same memory as in one
-    whole-row call: the result is bit-identical to it. It is a fresh
-    read-only (C, length) array that Signal takes over, or else `out`, a
-    (C, length) array or view of any float dtype, every element of which
-    is written in place (a float32 view takes numpy's cast at the store).
+    whole-row call: the result is bit-identical to it. It is written into
+    `out`, a (C, length) array or view of any float dtype, every element in
+    place (a float32 view takes numpy's cast at the store), and returned.
     All-zero branches (M-1 of stretch's M) store zeros in each tile instead
     of being convolved. Every sample is summed from +0.0, so a -0.0 input sample
     comes out +0.0.
@@ -65,9 +66,6 @@ def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, ou
     nonzero = branches.any(axis=1).tolist()
     parts = [(j, branches[j] if nonzero[j] else None, -(-(start - j) // m), -(-(start + length - j) // m))
              for j in range(m)]
-    fresh = out is None
-    if fresh:
-        out = np.empty((x.shape[0], length))
     q_lo = min(first for _, _, first, _ in parts)
     q_hi = max(stop for _, _, _, stop in parts)
     rows = max(1, _TILE // m if k >= t else q_hi - q_lo)  # a row shorter than T is convolved once
@@ -83,17 +81,7 @@ def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, ou
                     continue
                 lo, hi = _span(qa - t + 1, qb, k, t)
                 out[c, n0 : n0 + (qb - qa) * m : m] = np.convolve(x[c, lo:hi], b)[qa - lo : qb - lo]
-    return frozen(out) if fresh else out
-
-
-def _integer(name: str, value) -> int:
-    """value as an int: 4.0 and numpy integers pass, and 4.5 is refused instead of truncated."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):  # None, a string, nan or inf
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
 
 
 def _check_factor(m: int) -> int:
@@ -306,40 +294,39 @@ def largest_array(spec: UpsamplerSpec, channels: int, num_samples: int) -> int:
     return channels * max(window(m, n, num_samples)[1], m * (num_samples + -(-n // m) - 1))
 
 
-def _window(x: Blocks, levels: list, a: int, b: int, out=None) -> np.ndarray:
-    """Columns [a, b) of the last level's output, `levels` being layer_filter's levels run on x.
+def _fill_level(x: Blocks, m: int, h: np.ndarray, start: int, divisor, out: np.ndarray, cols: slice) -> None:
+    """Columns `cols` of one of layer_filter's levels run on x, written into out.
 
-    Each level reads only the input columns its one kernel call needs: rows
+    The block reads only the input columns its one kernel call needs: rows
     q of its window and the T - 1 before them, widened by _span as
     _polyphase widens a tile's input, so np.convolve gets the operands,
-    and the result the bits, of one call on the whole row.
-    Those columns are read from x, or are the previous level's window; a
-    divisor divides only them.
+    and the result the bits, of one call on the whole row. A divisor
+    divides only those columns.
     """
-    *inner, (m, h, start, _, divisor) = levels
-    k, t = inner[-1][3] if inner else x.num_samples, -(-len(h) // m)
-    lo, hi = _span((start + a) // m - t + 1, (start + b - 1) // m + 1, k, t)
-    cols = _window(x, inner, lo, hi) if inner else x.read(slice(lo, hi))
+    t = -(-len(h) // m)
+    lo, hi = _span((start + cols.start) // m - t + 1, (start + cols.stop - 1) // m + 1, x.num_samples, t)
+    inp = x.read(slice(lo, hi))
     if divisor is not None:
         with np.errstate(over="ignore"):  # an inf is refused as a non-finite sample
-            cols = cols / divisor
-    return _polyphase(cols, h, m, start + a - m * lo, b - a, out)
+            inp = inp / divisor
+    _polyphase(inp, h, m, start + cols.start - m * lo, cols.stop - cols.start, out)
 
 
 def apply_blocks(spec: UpsamplerSpec, x) -> Blocks:
     """apply(spec, x) as signals.Blocks at M times x's rate, one block of output columns at a time.
 
-    x is a Signal or the Blocks it is read from (a file's, say). The length
-    comes from layer_filter before any output is computed. Each block is a
-    window (see _window) written straight into the view it is given,
-    bit-identical to the same columns of the whole output and not checked
-    to be finite; it reads x's columns as it needs them, so besides a
-    Signal x no array larger than a block is made.
+    x is a Signal or the Blocks it is read from (a file's, say). Each of
+    layer_filter's levels is Blocks over the last (see _fill_level), so a
+    wavelet cascade's x2 band is read, and checked to be finite, as a file
+    is. Each block of the last is written straight into the view it is
+    given, bit-identical to the same columns of the whole output and not
+    checked to be finite; besides a Signal x, no array larger than a block
+    is made.
     """
     x = Blocks.of(x)
-    levels = list(layer_filter(spec, x.num_samples, x.padded))
-    return Blocks(x.channels, levels[-1][3], spec.factor * x.sample_rate_hz,
-                  lambda out, cols: _window(x, levels, cols.start, cols.stop, out))
+    for m, h, start, length, divisor in layer_filter(spec, x.num_samples, x.padded):
+        x = Blocks(x.channels, length, m * x.sample_rate_hz, partial(_fill_level, x, m, h, start, divisor))
+    return x
 
 
 def apply(spec: UpsamplerSpec, x: Signal) -> Signal:

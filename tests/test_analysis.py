@@ -241,6 +241,46 @@ class TestBandAttenuation:
         assert ana.band_attenuation(spec, 32, 250).shape == (250,)  # 16 Hz bands each hold a bin
 
 
+class TestIntegerParameters:
+    """Rates, sizes and factors follow UpsamplerSpec's rule: 8000.0 and numpy integers pass, and a
+    non-integral value is refused with one line that names it, not truncated."""
+
+    @pytest.mark.parametrize("call, name, value", [
+        (lambda: Signal(np.zeros(8), 8000.7), "sample_rate_hz", 8000.7),
+        (lambda: ana.spectrogram(white_noise(4096, 8000, seed=1), 512.9, 128.5), "window_size", 512.9),
+        (lambda: ana.spectrogram(white_noise(4096, 8000, seed=1), 512, 128.5), "hop", 128.5),
+        (lambda: ana.avg_spectrum(white_noise(1 << 14, 8000, seed=1), 512.5), "window_size", 512.5),
+        (lambda: ana.analytic_response(np.ones(4), 512.5, 32000), "window_size", 512.5),
+        (lambda: ana.replica_frequencies(8000, 4.5), "factor", 4.5),
+        (lambda: ana.replica_frequencies(8000, 1.5), "factor", 1.5),
+        (lambda: ana.band_attenuation(_flat_spectrum(-10.0, fs=32000), 8000, 4.5), "factor", 4.5),
+    ], ids=["Signal", "spectrogram-window", "spectrogram-hop", "avg_spectrum", "analytic_response",
+            "replica_frequencies", "replica_frequencies-below-2", "band_attenuation"])
+    def test_a_non_integral_value_is_refused_not_truncated(self, call, name, value):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_integral_floats_and_numpy_integers_are_taken_as_ints(self):
+        for rate in (8000.0, np.int64(8000)):
+            x = Signal(np.zeros(8), rate)
+            assert type(x.sample_rate_hz) is int and x.sample_rate_hz == 8000
+        x = white_noise(4096, 8000, seed=1)
+        np.testing.assert_array_equal(ana.spectrogram(x, 512.0, np.int64(128)).magnitudes_db,
+                                      ana.spectrogram(x, 512, 128).magnitudes_db)
+        np.testing.assert_array_equal(ana.avg_spectrum(x, np.int64(256)).magnitude_db,
+                                      ana.avg_spectrum(x, 256).magnitude_db)
+        np.testing.assert_array_equal(ana.analytic_response(np.ones(4), 512.0, 32000).magnitude_db,
+                                      ana.analytic_response(np.ones(4), 512, 32000).magnitude_db)
+        assert ana.replica_frequencies(8000, 4.0) == ana.replica_frequencies(8000, np.int64(4)) == [8000.0, 16000.0]
+        spectrum = _flat_spectrum(-10.0, fs=32000)
+        np.testing.assert_array_equal(ana.band_attenuation(spectrum, 8000, 4.0), ana.band_attenuation(spectrum, 8000, 4))
+
+    def test_a_rate_of_zero_is_still_refused_as_not_positive(self):
+        with pytest.raises(ValueError, match="^sample rate must be positive, got 0.0$"):
+            Signal(np.zeros(8), 0.0)
+
+
 class TestArtifactReport:
     def test_stretched_ones_read_as_tonal(self):
         spec = ana.avg_spectrum(apply(UpsamplerSpec(kind="stretch", factor=4), ones(1 << 15, 8000)))

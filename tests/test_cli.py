@@ -1,5 +1,14 @@
-"""End-to-end checks of the command line interface, via subprocesses and, for error mapping, cli.main."""
+"""End-to-end checks of the command line interface, run in this process through cli.main.
 
+run_cli captures what cli.main writes and the exit code it returns or
+argparse exits with. One test still starts `python -m upsample_audit.cli` in
+a fresh interpreter, with every warning an error (see conftest.py), for
+what only a fresh interpreter shows: the module's entry point, and no
+traceback on a refusal.
+"""
+
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -14,13 +23,32 @@ from upsample_audit.signals import MAX_WAV_DATA_BYTES, read_wav
 
 
 def run_cli(*args, expect=0):
-    proc = subprocess.run(
-        [sys.executable, "-m", "upsample_audit.cli", *map(str, args)],
-        capture_output=True,
-        text=True,
-    )
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(map(str, args)))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    proc = subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
     assert proc.returncode == expect, proc.stderr or proc.stdout
     return proc
+
+
+def test_the_module_runs_in_a_fresh_interpreter(tmp_path):
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "upsample_audit.cli", *map(str, args)],
+                              capture_output=True, text=True)
+
+    out = tmp_path / "t.wav"
+    proc = run("generate", "--kind", "tone", "--n", 64, "--fs", 8000, "--f0", 1000, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "generate"
+    assert proc.stderr == ""
+    proc = run("generate", "--kind", "tone", "--n", 64, "--fs", 8000, "--f0", 5000, "--out", tmp_path / "x.wav")
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "x.wav").exists()
 
 
 def make_wav(tmp_path, name, *gen_args):

@@ -70,7 +70,7 @@ def test_every_kind_matches_the_whole_row_kernel(monkeypatch, kind, tile):
             for m, h, start, length, divisor in layer_filter(spec, num_samples, padded):
                 if divisor is not None:
                     x, want = x / divisor, want / divisor
-                got = config._polyphase(x, h, m, start, length)
+                got = config._polyphase(x, h, m, start, length, np.empty((2, length)))
                 want = _one_shot(want, h, m, start, length)
                 _assert_same_bits(got, want)
                 x = got
@@ -93,10 +93,10 @@ def test_any_window_and_tile_matches_the_whole_row_kernel(monkeypatch, m, taps, 
         for start in range(min(full, 2 * m + 1)):
             for length in (1, m + 1, full - start):
                 if 1 <= length <= full - start:
-                    _assert_same_bits(config._polyphase(x, h, m, start, length), _one_shot(x, h, m, start, length))
+                    _assert_same_bits(config._polyphase(x, h, m, start, length, np.empty((2, length))), _one_shot(x, h, m, start, length))
 
 
 def test_all_zero_filter_gives_zeros(monkeypatch):
     monkeypatch.setattr(config, "_TILE", 3)
-    out = config._polyphase(_input(1, 10, seed=0), np.zeros(5), 3, 2, 20)
+    out = config._polyphase(_input(1, 10, seed=0), np.zeros(5), 3, 2, 20, np.empty((1, 20)))
     _assert_same_bits(out, np.zeros((1, 20)))

@@ -171,7 +171,7 @@ def test_every_sample_of_a_kernel_window_is_written(monkeypatch):
     for h in (np.ones(1), np.array([1.0, 0.0]), np.array([0.0, 0.5, 0.0, 0.25, 0.0]), np.zeros(3)):
         for m in (2, 3, 4):
             for start, length in ((0, m * 37), (3, 50), (m * 37 - 5, 5)):
-                want = config._polyphase(x, h, m, start, length)
+                want = config._polyphase(x, h, m, start, length, np.empty((2, length)))
                 # A float64 array, and the transposed view of float32 frames that the WAV writer passes.
                 for out in (np.full((2, length), np.nan), np.full((length, 2), np.nan, dtype=np.float32).T):
                     config._polyphase(x, h, m, start, length, out)
