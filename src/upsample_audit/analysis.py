@@ -349,11 +349,18 @@ def average_spectra(spectra) -> AveragedSpectrum:
     return AveragedSpectrum(first.freqs_hz, db, first.sample_rate_hz, sum(sp.num_frames for sp in spectra))
 
 
+def _input_rate(fs_in: int) -> int:
+    """fs_in as a positive int, by the integer rule."""
+    fs_in = _integer("fs_in", fs_in)
+    if fs_in <= 0:
+        raise ValueError(f"input rate must be positive, got {fs_in}")
+    return fs_in
+
+
 def replica_frequencies(fs_in: int, factor: int) -> list:
     """Spectral replica centers k*fs_in for k = 1..factor//2 (all inside the output Nyquist)."""
     factor = _check_factor(factor)
-    if fs_in <= 0:
-        raise ValueError(f"input rate must be positive, got {fs_in}")
+    fs_in = _input_rate(fs_in)
     return [float(k * fs_in) for k in range(1, factor // 2 + 1)]
 
 
@@ -402,6 +409,7 @@ def band_attenuation(spectrum: AveragedSpectrum, fs_in: int, factor: int) -> np.
     rFFT bin is refused, as its mean would be empty.
     """
     factor = _check_factor(factor)
+    fs_in = _input_rate(fs_in)
     span = factor * fs_in / 2.0
     if spectrum.freqs_hz[-1] < span * (1.0 - 1e-9):
         raise ValueError(
@@ -493,8 +501,10 @@ def measure_response(
     normalized to 0 dB at DC. Deterministic: realization seeds derive
     from spec.seed.
     """
+    realizations = _integer("realizations", realizations)
     if realizations < 1:
         raise ValueError(f"need at least one realization, got {realizations}")
+    fs_in, n, window_size = _input_rate(fs_in), _integer("n", n), _integer("window_size", window_size)
     fs_out = spec.factor * fs_in
     acc = 0.0
     total_frames = 0

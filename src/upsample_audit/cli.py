@@ -434,6 +434,12 @@ def _masked_response_diff(spec: UpsamplerSpec) -> float:
     return float(np.max(np.abs(measured.magnitude_db[keep] - reference.magnitude_db[keep])))
 
 
+def _noise_bands(layer: UpsamplerSpec, n: int, first_seed: int, count: int) -> np.ndarray:
+    """band_attenuation of the layer's avg_spectrum averaged over `count` white noises of n samples."""
+    spectra = [ana.avg_spectrum(apply(layer, sig.white_noise(n, _FS_IN, first_seed + r))) for r in range(count)]
+    return ana.band_attenuation(ana.average_spectra(spectra), _FS_IN, layer.factor)
+
+
 def _response_suite(suite: _Suite) -> None:
     filters = WaveletFilters.haar()
     omega = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
@@ -450,11 +456,7 @@ def _response_suite(suite: _Suite) -> None:
     flat = ana.measure_response(stretch_spec, _FS_IN)
     suite.at_most("stretch response flatness", float(np.max(np.abs(flat.magnitude_db))), 1.0)
 
-    spectra = [
-        ana.avg_spectrum(apply(stretch_spec, sig.white_noise(1 << 17, _FS_IN, 500 + r)))
-        for r in range(32)
-    ]
-    bands = ana.band_attenuation(ana.average_spectra(spectra), _FS_IN, _FACTOR)
+    bands = _noise_bands(stretch_spec, 1 << 17, 500, 32)
     suite.at_most("stretch band attenuation spread", float(np.max(np.abs(bands))), 1.0)
 
     for kind, factor, seed, reference in (("nearest", 4, 13, "rectangular"), ("linear", 4, 14, "triangular"),
@@ -462,14 +464,8 @@ def _response_suite(suite: _Suite) -> None:
         suite.at_most(f"{kind} x{factor} vs analytic {reference} response",
                       _masked_response_diff(UpsamplerSpec(kind=kind, factor=factor, seed=seed)), 1.0)
 
-    noise_specs = {}
-    for kind in ("nearest", "linear", "sinc"):
-        layer = UpsamplerSpec(kind=kind, factor=_FACTOR, seed=17)
-        spectra = [
-            ana.avg_spectrum(apply(layer, sig.white_noise(1 << 15, _FS_IN, 600 + r)))
-            for r in range(8)
-        ]
-        noise_specs[kind] = ana.band_attenuation(ana.average_spectra(spectra), _FS_IN, _FACTOR)
+    noise_specs = {kind: _noise_bands(UpsamplerSpec(kind=kind, factor=_FACTOR, seed=17), 1 << 15, 600, 8)
+                   for kind in ("nearest", "linear", "sinc")}
     suite.at_least("sinc stopband attenuation (bands 1-3)", float(-np.max(noise_specs["sinc"][1:])), 30.0)
     suite.below(
         "linear band 3 below nearest band 3",

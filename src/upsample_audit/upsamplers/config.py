@@ -12,12 +12,12 @@ table. `apply_blocks` and `wavelet_roundtrip_blocks` read a layer's input
 as `signals.Blocks` and give its output as Blocks, which carry the output
 rate and length before any sample is computed and fill a block at a time
 into any float view (the file's float32 frames when written, a float64
-array when `apply` collects them into a Signal), each block reading only
-the input columns it needs. Each level of a wavelet cascade is Blocks over
-the last. The transposed and subpixel kinds are the
-depthwise (one filter per channel) case of the dense O×C layers; the tests
-hold those dense layers, written out apart from this kernel, as the
-reference `apply` is checked against.
+array when `apply` collects them into a Signal). `_polyphase` fills a
+block one tile at a time, and each tile reads once only the input columns
+it needs. Each level of a wavelet cascade is Blocks over the last. The
+transposed and subpixel kinds are the depthwise (one filter per channel)
+case of the dense O×C layers; the tests hold those dense layers, written
+out apart from this kernel, as the reference `apply` is checked against.
 """
 
 from __future__ import annotations
@@ -39,28 +39,31 @@ def _span(lo: int, hi: int, k: int, t: int) -> tuple:
     return (0, k) if k < t else (max(0, min(lo, k - t)), min(k, max(hi, t)))
 
 
-def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, out: np.ndarray) -> np.ndarray:
-    """Rows of x (C, K), zero-inserted by m and filtered by h, cropped to [start, start+length).
+def _polyphase(x: Blocks, m: int, h: np.ndarray, start: int, divisor, out: np.ndarray, cols: slice) -> None:
+    """Columns `cols` of one of layer_filter's levels run on x (C, K), written into out.
 
-    The full output has M*(K+T-1) samples per row, T = ceil(len(h)/M): with
-    the branches b_j = h[j::M], y[c, qM+j] = (x[c] * b_j)[q]. Each row is
-    walked in tiles of about _TILE output samples, that is, of rows q of
-    that formula. For each tile every branch convolves only the input it
-    needs, x[c, q-T+1 ... q] over the tile's q, and writes every M-th sample
-    of the tile's slice of the output while it is in cache. Each slice is
-    at least T samples long, or the whole row when K < T, so np.convolve
-    never swaps its arguments where the whole-row call would not, and each
-    sample is the same dot product over the same memory as in one
-    whole-row call: the result is bit-identical to it. It is written into
-    `out`, a (C, length) array or view of any float dtype, every element in
-    place (a float32 view takes numpy's cast at the store), and returned.
-    All-zero branches (M-1 of stretch's M) store zeros in each tile instead
-    of being convolved. Every sample is summed from +0.0, so a -0.0 input sample
-    comes out +0.0.
+    The level divides x by `divisor` unless it is None, inserts zeros by m,
+    filters by h and keeps the window that starts at column `start`. The
+    full output has M*(K+T-1) samples per row, T = ceil(len(h)/M): with
+    the branches b_j = h[j::M], y[c, qM+j] = (x[c] * b_j)[q]. The columns
+    are walked in tiles of about _TILE output samples, that is, of rows q of
+    that formula. Each tile reads once the input it needs, x[:, q-T+1 ... q]
+    over its q, widened by _span to at least T columns or the whole row when
+    K < T, and divides only that read. Every branch convolves the read and
+    stores every M-th sample of the tile while it is in cache. As the read
+    is never shorter than b_j unless it is the whole row, np.convolve never
+    swaps its arguments where the whole-row call would not, and each sample
+    kept is the same dot product over the same values as in one whole-row
+    call: the result is bit-identical to it. `out` is a (C, len(cols))
+    array or view of any float dtype; every element is written in place (a
+    float32 view takes numpy's cast at the store). All-zero branches (M-1
+    of stretch's M) store zeros in each tile instead of being convolved.
+    Every sample is summed from +0.0, so a -0.0 input sample comes out +0.0.
     """
-    k = x.shape[1]
+    k = x.num_samples
     branches = np.pad(h, (0, -len(h) % m)).reshape(-1, m).T
     t = branches.shape[1]
+    start, length = start + cols.start, cols.stop - cols.start
     # (j, b_j, first, stop): rows [first, stop) of y are the ones with qM + j in the window; b_j is
     # None for an all-zero branch, whose rows are stored as zeros in the same tile, while it is in cache
     nonzero = branches.any(axis=1).tolist()
@@ -69,8 +72,13 @@ def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, ou
     q_lo = min(first for _, _, first, _ in parts)
     q_hi = max(stop for _, _, _, stop in parts)
     rows = max(1, _TILE // m if k >= t else q_hi - q_lo)  # a row shorter than T is convolved once
-    for c in range(x.shape[0]):
-        for q0 in range(q_lo, q_hi, rows):
+    for q0 in range(q_lo, q_hi, rows):
+        lo, hi = _span(q0 - t + 1, min(q0 + rows, q_hi), k, t)
+        inp = x.read(slice(lo, hi))
+        if divisor is not None:
+            with np.errstate(over="ignore"):  # an inf is refused as a non-finite sample
+                inp = inp / divisor
+        for c in range(x.channels):
             for j, b, first, stop in parts:
                 qa, qb = max(q0, first), min(q0 + rows, stop)
                 if qa >= qb:
@@ -78,10 +86,8 @@ def _polyphase(x: np.ndarray, h: np.ndarray, m: int, start: int, length: int, ou
                 n0 = qa * m + j - start
                 if b is None:
                     out[c, n0 : n0 + (qb - qa) * m : m] = 0.0
-                    continue
-                lo, hi = _span(qa - t + 1, qb, k, t)
-                out[c, n0 : n0 + (qb - qa) * m : m] = np.convolve(x[c, lo:hi], b)[qa - lo : qb - lo]
-    return out
+                else:
+                    out[c, n0 : n0 + (qb - qa) * m : m] = np.convolve(inp[c], b)[qa - lo : qb - lo]
 
 
 def _check_factor(m: int) -> int:
@@ -282,41 +288,23 @@ def largest_array(spec: UpsamplerSpec, channels: int, num_samples: int) -> int:
     """An upper bound on the values of any one array apply allocates for (channels, num_samples) input.
 
     That is the larger of the output and C*M*(K+T-1) for T = ceil(len(h)/M)
-    taps per branch, which bounds the branch filters (M*T taps) and the
-    row np.convolve returns for one tile of _polyphase, never longer than
-    the whole row's K+T-1 samples. A wavelet cascade's factor-2
-    levels stay within the factor-M bound. len(h) comes from the filter
-    table without building h, so a caller can refuse a size before apply
-    runs.
+    taps per branch, which bounds the branch filters (M*T taps), the
+    input one tile of _polyphase reads (at most the whole input) and the
+    row np.convolve returns from it, never longer than the whole row's
+    K+T-1 samples. A wavelet cascade's factor-2 levels stay within the
+    factor-M bound. len(h) comes from the filter table without building h,
+    so a caller can refuse a size before apply runs.
     """
     taps, _, window, _ = _FILTERS[spec.kind]
     m, n = spec.factor, taps(spec)
     return channels * max(window(m, n, num_samples)[1], m * (num_samples + -(-n // m) - 1))
 
 
-def _fill_level(x: Blocks, m: int, h: np.ndarray, start: int, divisor, out: np.ndarray, cols: slice) -> None:
-    """Columns `cols` of one of layer_filter's levels run on x, written into out.
-
-    The block reads only the input columns its one kernel call needs: rows
-    q of its window and the T - 1 before them, widened by _span as
-    _polyphase widens a tile's input, so np.convolve gets the operands,
-    and the result the bits, of one call on the whole row. A divisor
-    divides only those columns.
-    """
-    t = -(-len(h) // m)
-    lo, hi = _span((start + cols.start) // m - t + 1, (start + cols.stop - 1) // m + 1, x.num_samples, t)
-    inp = x.read(slice(lo, hi))
-    if divisor is not None:
-        with np.errstate(over="ignore"):  # an inf is refused as a non-finite sample
-            inp = inp / divisor
-    _polyphase(inp, h, m, start + cols.start - m * lo, cols.stop - cols.start, out)
-
-
 def apply_blocks(spec: UpsamplerSpec, x) -> Blocks:
     """apply(spec, x) as signals.Blocks at M times x's rate, one block of output columns at a time.
 
     x is a Signal or the Blocks it is read from (a file's, say). Each of
-    layer_filter's levels is Blocks over the last (see _fill_level), so a
+    layer_filter's levels is Blocks over the last (see _polyphase), so a
     wavelet cascade's x2 band is read, and checked to be finite, as a file
     is. Each block of the last is written straight into the view it is
     given, bit-identical to the same columns of the whole output and not
@@ -325,7 +313,7 @@ def apply_blocks(spec: UpsamplerSpec, x) -> Blocks:
     """
     x = Blocks.of(x)
     for m, h, start, length, divisor in layer_filter(spec, x.num_samples, x.padded):
-        x = Blocks(x.channels, length, m * x.sample_rate_hz, partial(_fill_level, x, m, h, start, divisor))
+        x = Blocks(x.channels, length, m * x.sample_rate_hz, partial(_polyphase, x, m, h, start, divisor))
     return x
 
 

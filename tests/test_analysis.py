@@ -254,8 +254,19 @@ class TestIntegerParameters:
         (lambda: ana.replica_frequencies(8000, 4.5), "factor", 4.5),
         (lambda: ana.replica_frequencies(8000, 1.5), "factor", 1.5),
         (lambda: ana.band_attenuation(_flat_spectrum(-10.0, fs=32000), 8000, 4.5), "factor", 4.5),
+        (lambda: ana.band_attenuation(_flat_spectrum(-10.0, fs=32000), 0, 4.5), "factor", 4.5),
+        (lambda: ana.replica_frequencies(8000.5, 4), "fs_in", 8000.5),
+        (lambda: ana.band_attenuation(_flat_spectrum(-10.0, fs=32000), 8000.5, 4), "fs_in", 8000.5),
+        (lambda: ana.measure_response(UpsamplerSpec(kind="stretch", factor=2), 8000.5), "fs_in", 8000.5),
+        (lambda: ana.measure_response(UpsamplerSpec(kind="stretch", factor=2), 8000, realizations=1.5),
+         "realizations", 1.5),
+        (lambda: ana.measure_response(UpsamplerSpec(kind="stretch", factor=2), 8000, n=4096.5), "n", 4096.5),
+        (lambda: ana.measure_response(UpsamplerSpec(kind="stretch", factor=2), 8000, window_size=512.5),
+         "window_size", 512.5),
     ], ids=["Signal", "spectrogram-window", "spectrogram-hop", "avg_spectrum", "analytic_response",
-            "replica_frequencies", "replica_frequencies-below-2", "band_attenuation"])
+            "replica_frequencies", "replica_frequencies-below-2", "band_attenuation", "band_attenuation-factor-first",
+            "replica_frequencies-fs_in", "band_attenuation-fs_in", "measure_response-fs_in",
+            "measure_response-realizations", "measure_response-n", "measure_response-window_size"])
     def test_a_non_integral_value_is_refused_not_truncated(self, call, name, value):
         with pytest.raises(ValueError) as info:
             call()
@@ -279,6 +290,23 @@ class TestIntegerParameters:
     def test_a_rate_of_zero_is_still_refused_as_not_positive(self):
         with pytest.raises(ValueError, match="^sample rate must be positive, got 0.0$"):
             Signal(np.zeros(8), 0.0)
+
+    @pytest.mark.parametrize("fs_in", [0, -8000, 0.0])
+    def test_a_non_positive_input_rate_is_refused(self, fs_in):
+        spectrum = _flat_spectrum(-10.0, fs=32000)
+        for call in (lambda: ana.replica_frequencies(fs_in, 4), lambda: ana.band_attenuation(spectrum, fs_in, 4),
+                     lambda: ana.measure_response(UpsamplerSpec(kind="stretch", factor=2), fs_in)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"input rate must be positive, got {int(fs_in)}"
+
+    def test_measure_response_takes_integral_floats_and_numpy_integers(self):
+        spec = UpsamplerSpec(kind="stretch", factor=2)
+        want = ana.measure_response(spec, 8000, realizations=1, n=4096, window_size=512)
+        got = ana.measure_response(spec, 8000.0, realizations=np.int64(1), n=4096.0, window_size=512.0)
+        assert got.sample_rate_hz == want.sample_rate_hz == 16000 and type(got.sample_rate_hz) is int
+        np.testing.assert_array_equal(got.freqs_hz, want.freqs_hz)
+        np.testing.assert_array_equal(got.magnitude_db, want.magnitude_db)
 
 
 class TestArtifactReport:

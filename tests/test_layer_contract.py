@@ -51,7 +51,7 @@ def test_blocks_carry_the_rate_and_length_before_any_sample(case):
     else:
         length = m * k - (m // 2 if x.padded else 0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(config, "_fill_level", lambda *a: pytest.fail("a sample was computed"))
+        mp.setattr(config, "_polyphase", lambda *a: pytest.fail("a sample was computed"))
         blocks = apply_blocks(spec, x)
     assert (blocks.channels, blocks.num_samples, blocks.sample_rate_hz) == (x.channels, length, m * x.sample_rate_hz)
     y = apply(spec, x)

@@ -167,13 +167,17 @@ def test_every_sample_of_a_kernel_window_is_written(monkeypatch):
     # stores every sample, the zeros of all-zero branches included.
     from upsample_audit.upsamplers import config
 
+    def kernel(x, h, m, start, length, out):
+        config._polyphase(sig.Blocks.over(x, 1), m, h, start, None, out, slice(0, length))
+        return out
+
     x = np.random.Generator(np.random.Philox(5)).uniform(-1.0, 1.0, (2, 37))
     for h in (np.ones(1), np.array([1.0, 0.0]), np.array([0.0, 0.5, 0.0, 0.25, 0.0]), np.zeros(3)):
         for m in (2, 3, 4):
             for start, length in ((0, m * 37), (3, 50), (m * 37 - 5, 5)):
-                want = config._polyphase(x, h, m, start, length, np.empty((2, length)))
+                want = kernel(x, h, m, start, length, np.empty((2, length)))
                 # A float64 array, and the transposed view of float32 frames that the WAV writer passes.
                 for out in (np.full((2, length), np.nan), np.full((length, 2), np.nan, dtype=np.float32).T):
-                    config._polyphase(x, h, m, start, length, out)
+                    kernel(x, h, m, start, length, out)
                     assert not np.isnan(out).any()
                     np.testing.assert_array_equal(out, want.astype(out.dtype))
