@@ -75,7 +75,7 @@ def _stft(x: Blocks, window_size: int, hop: int, window: str = "hann") -> tuple:
     use, up to SLOTS; reads overlap by window_size - hop samples. A
     block's read, mixdown, windowing, rFFT, |.| and post run in a worker,
     into its slot's buffers (samples, mixdown, magnitudes and scratch,
-    each a block's, and windowed frames, about BLOCK_BYTES/8, which the
+    each a block's, and windowed frames, about BLOCK_BYTES/16, which the
     worker windows and transforms its block in), allocated once per pass;
     only the rFFT's complex result is made per such part. A slot is filled
     again only after the consumer has asked for the block after the one it
@@ -106,14 +106,14 @@ def _stft(x: Blocks, window_size: int, hop: int, window: str = "hann") -> tuple:
         most = max(rows.stop - rows.start for rows in slices)
         span = (most - 1) * hop + window_size
         shape = (most, window_size // 2 + 1)
-        eighth = max(part.stop - part.start for part in frame_blocks(most, 8 * row_bytes))  # windowed at once
+        part = max(at.stop - at.start for at in frame_blocks(most, 16 * row_bytes))  # frames windowed at once
 
         def slot():
             # With fresh block-sized arrays per block, glibc would return their pages and fault them in
             # again block after block, and keep what each worker thread frees in that thread's arena.
             return (None if x.data is not None else np.empty((x.channels, span)),
                     None if x.channels == 1 else np.empty(span),
-                    np.empty((eighth, window_size)),
+                    np.empty((part, window_size)),
                     np.empty(shape), np.empty(shape) if scratch else None)
 
         def stft_block(slot, rows):  # in a worker
@@ -121,9 +121,9 @@ def _stft(x: Blocks, window_size: int, hop: int, window: str = "hann") -> tuple:
             first, stop = rows.start * hop, (rows.stop - 1) * hop + window_size
             seg, energies = _mono(x.read(slice(first, stop), samples), mix, rows.stop * hop - first)
             view = np.lib.stride_tricks.sliding_window_view(seg, window_size)[::hop]
-            for part in frame_blocks(len(view), 8 * row_bytes):
-                np.abs(np.fft.rfft(np.multiply(view[part], w, out=windowed[: part.stop - part.start]), axis=1),
-                       out=mags[part])
+            for at in frame_blocks(len(view), 16 * row_bytes):
+                np.abs(np.fft.rfft(np.multiply(view[at], w, out=windowed[: at.stop - at.start]), axis=1),
+                       out=mags[at])
             mags = mags[: len(view)]
             made = None if post is None else post(rows, mags, None if buffer is None else buffer[: len(view)])
             return rows, mags, made, energies

@@ -238,9 +238,10 @@ class _Exports:
     text in slices of about BLOCK_BYTES/8 of temporaries (about 64 bytes
     per CSV value) and maps db to gray levels in place. The store writes the
     text to `csv`, an open binary file, and fills a band of about
-    BLOCK_BYTES of image columns (bin 0 at the bottom row). `pgm` is an open
-    binary file holding the PGM's header, sized for the whole image (see
-    _pgm_header); a full band, and the last, goes to it one image row
+    BLOCK_BYTES/8 of image columns (bin 0 at the bottom row). `pgm` is an
+    open binary file holding the PGM's header, sized for the whole image
+    (see _pgm_header); the header is flushed here, and a full band, and the
+    last, goes to the file's descriptor with os.pwrite one image row
     segment at a time, at offset header + row*frames + band start. So no
     more than a band of the bins x frames image is ever held.
     """
@@ -251,7 +252,8 @@ class _Exports:
         self.pgm = pgm
         if pgm is not None:
             self.origin = pgm.tell()
-            self.band = np.empty((bins, min(frames, max(1, sig.BLOCK_BYTES // bins))), dtype=np.uint8)
+            pgm.flush()  # the header, before the bands go past the file object's buffer
+            self.band = np.empty((bins, min(frames, max(1, sig.BLOCK_BYTES // 8 // bins))), dtype=np.uint8)
             self.start = 0  # the band's first frame
 
     def prepare(self, db: np.ndarray) -> tuple:
@@ -275,9 +277,15 @@ class _Exports:
                 self._write_band(at + n)
 
     def _write_band(self, width: int) -> None:
-        for row, segment in enumerate(self.band[:, :width]):
-            self.pgm.seek(self.origin + row * self.frames + self.start)
-            self.pgm.write(segment)
+        fd, offset = self.pgm.fileno(), self.origin + self.start
+        for segment in self.band[:, :width]:
+            done = os.pwrite(fd, segment, offset)
+            while done < width:  # a short write goes on from where it stopped
+                more = os.pwrite(fd, segment[done:], offset + done)
+                if not more:
+                    raise OSError(f"no bytes of the image written at offset {offset + done}")
+                done += more
+            offset += self.frames
         self.start += width
 
 
@@ -288,9 +296,11 @@ def cmd_analyze(args) -> int:
     signals.replacing on one ExitStack and moved into place together once
     all three are written, so a refusal found during or after the pass
     (non-finite samples, cancelling channels, the report's checks, an
-    output that cannot be written) leaves none of them behind. The CSV and
-    the PGM are opened when the frame count is known, before the pass. Each
-    frame block of the pass reads its own samples from the file.
+    output that cannot be written) leaves none of them behind. An output
+    that names the input is refused before the input is read, as it would
+    replace the file it was computed from. The CSV and the PGM are opened
+    when the frame count is known, before the pass. Each frame block of the
+    pass reads its own samples from the file.
     """
     if (args.fs_in is None) != (args.factor is None):
         raise ValueError("replica prediction requires both --fs-in and --factor")
@@ -299,9 +309,11 @@ def cmd_analyze(args) -> int:
                if target}
     if len({os.path.realpath(target) for target in targets.values()}) < len(targets):
         raise ValueError("--report, --csv and --pgm must name different files")
-    for flag, target in targets.items():  # before the input is read, as upsample checks --out
-        _check_target(target, flag)
     path = getattr(args, "in")
+    for flag, target in targets.items():  # before the input is read, as upsample checks --out
+        if os.path.realpath(target) == os.path.realpath(path):
+            raise ValueError(f"{flag} {target} names the input file")
+        _check_target(target, flag)
     blocks = sig.wav_blocks(path)
     bins = args.stft_size // 2 + 1
     artifacts = None

@@ -407,6 +407,20 @@ class TestAnalyze:
         header = f"P5\n{db.shape[0]} {db.shape[1]}\n255\n".encode()
         assert pgm_path.read_bytes() == header + img.tobytes()
 
+    def test_short_pgm_writes_are_continued_and_empty_ones_refused(self, tmp_path, monkeypatch):
+        src = make_wav(tmp_path, "n.wav", "--kind", "noise", "--n", 8192, "--fs", 8000)
+        run_cli("analyze", "--in", src, "--report", tmp_path / "r.json", "--hop", 1, "--pgm", tmp_path / "want.pgm")
+        pwrite = cli.os.pwrite
+        monkeypatch.setattr(cli.os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:1000], offset))  # two or three calls a segment
+        run_cli("analyze", "--in", src, "--report", tmp_path / "r.json", "--hop", 1, "--pgm", tmp_path / "s.pgm")
+        assert (tmp_path / "s.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+        monkeypatch.setattr(cli.os, "pwrite", lambda fd, data, offset: 0)
+        proc = run_cli("analyze", "--in", src, "--report", tmp_path / "r2.json", "--hop", 1,
+                       "--pgm", tmp_path / "s2.pgm", expect=2)
+        header = cli._pgm_header(7681, 257)
+        assert proc.stderr.splitlines() == [f"error: no bytes of the image written at offset {len(header)}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["n.wav", "r.json", "s.pgm", "want.pgm"]
+
     def test_replica_prediction_needs_both_rate_and_factor(self, tmp_path):
         src = make_wav(tmp_path, "n.wav", "--kind", "noise", "--n", 8192, "--fs", 8000)
         proc = run_cli(
@@ -454,6 +468,20 @@ class TestAnalyze:
         proc = run_cli("analyze", "--in", src, "--report", report, "--fs-in", 1, "--factor", 8000, expect=2)
         assert proc.stderr.splitlines() == ["error: bands of fs_in/2 = 0.5 Hz are narrower than one rFFT bin (15.625 Hz)"]
         assert not report.exists()
+
+    @pytest.mark.parametrize("flag", ["--report", "--csv", "--pgm"])
+    def test_an_output_naming_the_input_is_refused_before_it_is_read(self, tmp_path, monkeypatch, flag):
+        src = make_wav(tmp_path, "n.wav", "--kind", "noise", "--n", 8192, "--fs", 8000)
+        before = src.read_bytes()
+        monkeypatch.setattr(sig, "wav_blocks", lambda path: pytest.fail("the input was read"))
+        monkeypatch.chdir(tmp_path)
+        outputs = {"--report": "r.json", "--csv": "s.csv", "--pgm": "s.pgm", flag: "./sub/../n.wav"}
+        (tmp_path / "sub").mkdir()
+        proc = run_cli("analyze", "--in", "n.wav", *[arg for pair in outputs.items() for arg in pair], expect=2)
+        assert proc.stderr.splitlines() == [f"error: {flag} ./sub/../n.wav names the input file"]
+        assert proc.stdout == ""
+        assert src.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["n.wav", "sub"]
 
     def test_cancelling_channels_are_refused(self, tmp_path):
         src, report = tmp_path / "anti.wav", tmp_path / "r.json"

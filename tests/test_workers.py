@@ -109,31 +109,33 @@ def _cancelling(path):
     sig.write_wav(path, sig.Signal(np.stack([left, -left]), RATE))
 
 
-class _FailingPgm:
-    """A PGM file whose writes fail once the header and 300 row segments are written: in a later band."""
-
-    def __init__(self, fh):
-        self.fh, self.writes = fh, 0
-
-    def write(self, data):
-        self.writes += 1
-        if self.writes > 301:
-            raise OSError(28, "No space left on device")
-        return self.fh.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self.fh, name)
-
-
 def _failing_pgm(monkeypatch):
-    replacing = sig.replacing
+    """Make a PGM's band writes fail once its header and 300 row segments are written: in a later band.
+
+    The header goes through the file object; the bands go to its
+    descriptor with the os.pwrite that cli calls, counted per PGM file.
+    """
+    replacing, pwrite, writes = sig.replacing, os.pwrite, {}
 
     @contextlib.contextmanager
-    def failing(path, size=0):
+    def counted(path, size=0):
         with replacing(path, size) as fh:
-            yield _FailingPgm(fh) if str(path).endswith(".pgm") else fh
+            if str(path).endswith(".pgm"):
+                writes[fh.fileno()] = 0
+            try:
+                yield fh
+            finally:
+                writes.pop(fh.fileno(), None)
 
-    monkeypatch.setattr(sig, "replacing", failing)
+    def failing(fd, data, offset):
+        if fd in writes:
+            writes[fd] += 1
+            if writes[fd] > 300:
+                raise OSError(28, "No space left on device")
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(sig, "replacing", counted)
+    monkeypatch.setattr(cli.os, "pwrite", failing)
 
 
 REFUSALS = {
@@ -153,7 +155,7 @@ def test_a_refusal_in_the_middle_of_a_pass_stops_it_as_on_one_worker(tmp_path, m
     make(src)
     if patch is not None:
         patch(monkeypatch)
-    monkeypatch.setattr(sig, "BLOCK_BYTES", 64 << 10)  # many blocks, and bands of 255 frames
+    monkeypatch.setattr(sig, "BLOCK_BYTES", 64 << 10)  # many blocks, and bands of 31 frames
     threads = threading.active_count()
     results = []
     for count in (1, 2):
