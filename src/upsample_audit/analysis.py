@@ -11,10 +11,12 @@ blocks are computed apart: signals.ordered_map runs the pure per-block
 work (read, mixdown, window, rFFT, |.|, the dB and a sink's prepare) on
 one worker thread per CPU the process may use, up to SLOTS, made for the
 pass and joined when it ends (inline for a pass of at most 2 * SLOTS
-blocks), each block into the buffers of one of at most SLOTS slots
-allocated once per pass, and hands the blocks back in frame order. What
-depends on order stays in the one consumer loop: adding each block's
-channel energies, storing its dB or exports, and summing its frames.
+blocks). Each block's samples, mixdown and dB are arrays of the worker
+call's own; its windowed frames and magnitudes go into the buffers of
+one of at most SLOTS slots allocated once per pass, and the blocks are
+handed back in frame order. What depends on order stays in the one
+consumer loop: adding each block's channel energies, storing its dB or
+exports, and summing its frames.
 Where blocks split depends on the input and the framing only, so the bits
 do not depend on the worker count, and besides its result an analysis
 holds about the same few BLOCK_BYTES on any number of CPUs however long
@@ -61,24 +63,25 @@ _MAG_FLOOR = 10.0 ** (DB_FLOOR / 20.0)
 _WINDOWS = {"hann": np.hanning, "rect": np.ones}
 
 def _stft(x: Blocks, window_size: int, hop: int, window: str = "hann") -> tuple:
-    """Check the framing of x; return the window, the frame count and the pass, `blocks(post=None, scratch=False)`.
+    """Check the framing of x; return the window, the frame count and the pass, `blocks(post=None)`.
 
     The pass yields (rows, |rFFT| of those windowed frames, post(rows,
-    that |rFFT| block, scratch) or None) in frame order, scratch being a
-    buffer of the block's shape if asked for. A block holds about BLOCK_BYTES
-    / SLOTS of windowed frames or of samples read, whichever is more, so a
-    pass's slots hold about the same bytes on any number of CPUs. Each
-    block reads its own samples [rows.start*hop, (rows.stop-1)*hop +
-    window_size) of x and mixes them down (_mono: the channel mean is
-    taken per column, so it is the whole mixdown's bits), so blocks are
-    computed apart, by signals.ordered_map on the CPUs the process may
-    use, up to SLOTS; reads overlap by window_size - hop samples. A
-    block's read, mixdown, windowing, rFFT, |.| and post run in a worker,
-    into its slot's buffers (samples, mixdown, magnitudes and scratch,
-    each a block's, and windowed frames, about BLOCK_BYTES/16, which the
-    worker windows and transforms its block in), allocated once per pass;
-    only the rFFT's complex result is made per such part. A slot is filled
-    again only after the consumer has asked for the block after the one it
+    that |rFFT| block) or None) in frame order. A block holds about
+    BLOCK_BYTES / SLOTS of windowed frames or of samples read, whichever
+    is more, so a pass's slots hold about the same bytes on any number of
+    CPUs. Each block reads its own samples [rows.start*hop,
+    (rows.stop-1)*hop + window_size) of x and mixes them down (_mono: the
+    channel mean is taken per column, so it is the whole mixdown's bits),
+    so blocks are computed apart, by signals.ordered_map on the CPUs the
+    process may use, up to SLOTS; reads overlap by window_size - hop
+    samples. A block's read, mixdown, windowing, rFFT, |.| and post run in
+    a worker, the samples and the mixdown into arrays of the call's own.
+    Its slot, allocated once per pass, keeps the magnitudes, which outlive
+    the call, and windowed frames, about BLOCK_BYTES/16, which serve each
+    part the worker windows and transforms its block in: fresh ones would
+    be faulted in again by each of verify's many small passes. Only the
+    rFFT's complex result is made per such part. A slot is filled again
+    only after the consumer has asked for the block after the one it
     holds, so a block's arrays are valid until then. Channels that cancel
     are refused on energies each block sums over its samples
     [rows.start*hop, rows.stop*hop), added in frame order, the tail past
@@ -101,39 +104,32 @@ def _stft(x: Blocks, window_size: int, hop: int, window: str = "hann") -> tuple:
     row_bytes = w.itemsize * window_size
     frame_bytes = max(row_bytes, 8 * hop * x.channels)  # a frame's windowed samples, or its share of a read
 
-    def blocks(post=None, scratch=False):
+    def blocks(post=None):
         slices = list(frame_blocks(frames, SLOTS * frame_bytes))
         most = max(rows.stop - rows.start for rows in slices)
-        span = (most - 1) * hop + window_size
         shape = (most, window_size // 2 + 1)
         part = max(at.stop - at.start for at in frame_blocks(most, 16 * row_bytes))  # frames windowed at once
 
         def slot():
-            # With fresh block-sized arrays per block, glibc would return their pages and fault them in
-            # again block after block, and keep what each worker thread frees in that thread's arena.
-            return (None if x.data is not None else np.empty((x.channels, span)),
-                    None if x.channels == 1 else np.empty(span),
-                    np.empty((part, window_size)),
-                    np.empty(shape), np.empty(shape) if scratch else None)
+            return np.empty((part, window_size)), np.empty(shape)
 
         def stft_block(slot, rows):  # in a worker
-            samples, mix, windowed, mags, buffer = slot
+            windowed, mags = slot
             first, stop = rows.start * hop, (rows.stop - 1) * hop + window_size
-            seg, energies = _mono(x.read(slice(first, stop), samples), mix, rows.stop * hop - first)
+            seg, energies = _mono(x.read(slice(first, stop)), rows.stop * hop - first)
             view = np.lib.stride_tricks.sliding_window_view(seg, window_size)[::hop]
             for at in frame_blocks(len(view), 16 * row_bytes):
                 np.abs(np.fft.rfft(np.multiply(view[at], w, out=windowed[: at.stop - at.start]), axis=1),
                        out=mags[at])
             mags = mags[: len(view)]
-            made = None if post is None else post(rows, mags, None if buffer is None else buffer[: len(view)])
-            return rows, mags, made, energies
+            return rows, mags, None if post is None else post(rows, mags), energies
 
         energies = np.zeros(x.channels + 1)
         for rows, mags, made, summed in ordered_map(stft_block, slices, slot):
             if summed is not None:
                 energies += summed
             yield rows, mags, made
-        tail = _mono(x.read(slice(frames * hop, x.num_samples)), None, x.num_samples)[1]
+        tail = _mono(x.read(slice(frames * hop, x.num_samples)), x.num_samples)[1]
         if tail is not None:
             energies += tail
         _refuse_cancelling(energies)
@@ -167,18 +163,17 @@ def _to_db(magnitudes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return db
 
 
-def _mono(block: np.ndarray, mix: np.ndarray | None, counted: int) -> tuple:
+def _mono(block: np.ndarray, counted: int) -> tuple:
     """(the channel mean of a (channels, cols) block, its energies): analysis is mono.
 
-    The mean is a view of the block's row if mono, else it goes into the
-    leading columns of `mix` (if given). The energies, the mixdown's and
-    then each channel's, are summed over the block's first `counted`
-    columns by a numpy reduction, not BLAS, whose threads would change
-    their rounding; a mono block has None.
+    The mean is a view of the block's row if mono, else an array of its
+    own. The energies, the mixdown's and then each channel's, are summed
+    over the block's first `counted` columns by a numpy reduction, not
+    BLAS, whose threads would change their rounding; a mono block has None.
     """
     if len(block) == 1:
         return block[0], None
-    mix = np.mean(block, axis=0, out=None if mix is None else mix[: block.shape[1]])
+    mix = np.mean(block, axis=0)
     return mix, np.array([np.einsum("i,i->", row[:counted], row[:counted]) for row in (mix, *block)])
 
 
@@ -288,17 +283,16 @@ def _spectrogram_stream(x: Blocks, window_size: int, hop: int, window: str, out,
     """(out(frames) given every block of x's spectrogram in dB, or None if out is None; the avg_spectrum
     if `average`).
 
-    out(frames) gives the sink: an array, whose rows the workers fill
-    with each block's dB, or an object with `prepare(db)` and `[rows] =`.
-    Its prepare runs in _stft's workers on each block's dB, made in the
-    slot's scratch buffer, and may overwrite it; the one consumer loop
-    stores prepare's results `sink[rows] = made` in frame order and, when
-    averaging, sums every (window_size/2 // hop)-th frame, the
-    avg_spectrum's frames, as they stream past. So with the Hann window
-    and a hop that divides window_size/2 one pass serves both, and both
-    equal the whole-array spectrogram and avg_spectrum bit for bit;
-    otherwise the avg_spectrum's own pass (hop window_size/2, out None) and
-    its errors come first.
+    out(frames) gives the sink: an array, or an object with `prepare(db)`
+    and `[rows] =`; an array's prepare is the identity. Its prepare runs in
+    _stft's workers on each block's dB, made in an array of its own, and
+    may overwrite it; the one consumer loop stores prepare's results
+    `sink[rows] = made` in frame order and, when averaging, sums every
+    (window_size/2 // hop)-th frame, the avg_spectrum's frames, as they
+    stream past. So with the Hann window and a hop that divides
+    window_size/2 one pass serves both, and both equal the whole-array
+    spectrogram and avg_spectrum bit for bit; otherwise the avg_spectrum's
+    own pass (hop window_size/2, out None) and its errors come first.
     """
     half = window_size // 2
     # The average's own pass takes the shared branch even where _stft refuses its window, so no loop.
@@ -313,17 +307,16 @@ def _spectrogram_stream(x: Blocks, window_size: int, hop: int, window: str, out,
         if averaged < 16:
             raise ValueError(f"need at least 16 frames for a stable average, got {averaged}")
     sink = None if out is None else out(frames)
-    prepare = getattr(sink, "prepare", None)
+    prepare = getattr(sink, "prepare", lambda db: db)
 
-    def db_block(rows, mags, scratch):  # in a worker
-        """The block's dB, made in an array sink's own rows, or in scratch and then made ready by prepare."""
-        db = sink[rows] if prepare is None else scratch
-        db = _to_db(np.divide(mags, w.sum(), out=db), out=db)
-        return None if prepare is None else prepare(db)
+    def db_block(rows, mags):  # in a worker
+        """The block's dB in an array of its own, made ready by the sink's prepare."""
+        db = np.divide(mags, w.sum())
+        return prepare(_to_db(db, out=db))
 
     def kept_frames():
-        for rows, mags, made in blocks(None if sink is None else db_block, prepare is not None):
-            if prepare is not None:
+        for rows, mags, made in blocks(None if sink is None else db_block):
+            if sink is not None:
                 sink[rows] = made
             if average:
                 yield mags[-rows.start % step :: step]

@@ -230,15 +230,12 @@ class Blocks:
         """A Signal's columns as Blocks over its data, with its padded flag; Blocks are returned as they are."""
         return x if isinstance(x, Blocks) else cls.over(x.data, x.sample_rate_hz, x.padded)
 
-    def read(self, cols: slice, buffer: np.ndarray | None = None) -> np.ndarray:
-        """Columns `cols` as a read-only float64 array, refused if a fresh fill holds a non-finite sample.
-
-        A fresh fill goes into the leading columns of `buffer`, a (channels, n >= len(cols)) float64 array, if given.
-        """
+    def read(self, cols: slice) -> np.ndarray:
+        """Columns `cols` as a read-only float64 array: a view of `data`, or else a fresh fill into an array of its
+        own, refused if it holds a non-finite sample."""
         if self.data is not None:
             return self.data[:, cols]
-        n = cols.stop - cols.start
-        out = np.empty((self.channels, n)) if buffer is None else buffer[:, :n]
+        out = np.empty((self.channels, cols.stop - cols.start))
         self.fill(out, cols)
         if not _all_finite(out):
             raise ValueError("signal samples must be finite")

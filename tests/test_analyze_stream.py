@@ -382,20 +382,22 @@ def test_analyze_holds_its_slots_and_one_band(tmp_path_factory, capsys, workers)
     # so doubling the input leaves the peak unchanged within one block. The
     # pass holds at most SLOTS slots, each with a frame block of about
     # BLOCK_BYTES / SLOTS of windowed frames or of samples read: its
-    # samples, magnitudes, dB, CSV text and gray levels, and its worker's
-    # windowed frames and complex rFFT, in parts of about BLOCK_BYTES / 16.
+    # magnitudes, and windowed frames for parts of about BLOCK_BYTES / 16.
+    # Each worker call also holds its block's samples, mixdown, dB, CSV
+    # text and gray levels, and its complex rFFT, only while it runs.
     # Measured in BLOCK_BYTES, mono 2**20 and 2**21 samples with the CSV
-    # and PGM: 1.11 and 1.04 on one worker, 2.18 and 2.15 on two, 2.87 and
-    # 2.82 on eight; stereo 2**20 at hop 512 with the PGM, whose reads are
-    # twice its windowed frames: 0.83, 2.08 and 2.73. With bands of
-    # BLOCK_BYTES and parts of BLOCK_BYTES / 8 the same inputs peaked at
-    # 1.98, 3.17 and 4.00.
+    # and PGM: 1.11 and 1.04 on one worker, 1.99-2.11 and 1.85-1.90 on
+    # two, 2.74-2.86 and 2.83-2.89 on eight; stereo 2**20 at hop 512 with
+    # the PGM, whose reads are twice its windowed frames: 0.65, 1.29 and
+    # 2.03-2.15. While each slot also held its block's samples, mixdown and
+    # dB, the stereo pass peaked at 0.83, 2.10 and 2.72-2.78, which its
+    # bounds refuse.
     inputs = {n: tmp_path_factory.mktemp(f"n{n}") for n in (1 << 20, 1 << 21)}
     for n, work in inputs.items():
         _write(work / "in.wav", _noise(1, n, seed=n))
     stereo = tmp_path_factory.mktemp("stereo")
     _write(stereo / "in.wav", _noise(2, 1 << 20, seed=3))
-    for count in (1, 2, 8):
+    for count, stereo_bound in ((1, 0.75), (2, 1.65), (8, 2.45)):
         workers(count)
         peaks = [_traced_peak(["analyze", "--in", str(work / "in.wav"), "--report", str(work / "r.json"),
                                "--csv", str(work / "s.csv"), "--pgm", str(work / "s.pgm"),
@@ -403,5 +405,6 @@ def test_analyze_holds_its_slots_and_one_band(tmp_path_factory, capsys, workers)
         peaks.append(_traced_peak(["analyze", "--in", str(stereo / "in.wav"), "--report", str(stereo / "r.json"),
                                    "--pgm", str(stereo / "s.pgm"), "--hop", "512"]))
         assert max(peaks) < 3.4 * sig.BLOCK_BYTES
+        assert peaks[2] < stereo_bound * sig.BLOCK_BYTES
         assert abs(peaks[1] - peaks[0]) < sig.BLOCK_BYTES
     capsys.readouterr()

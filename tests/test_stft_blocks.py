@@ -201,9 +201,9 @@ def test_spectrogram_peak_stays_near_its_matrix(long_mono):
 def test_stereo_avg_spectrum_peak_stays_below_its_mixdown(workers):
     # At 2**22 samples the mono mixdown (32 MiB) is several times the pass's
     # working set, so a whole mixdown would show. Each block is mixed down
-    # into its slot's buffer, which the rFFT does not keep alive: measured
-    # 0.63 bytes a sample on one worker (one slot), 1.51 on two (three
-    # slots) and 2.14 on eight (SLOTS = 4).
+    # into an array of the worker call's own, which the rFFT does not keep
+    # alive: measured 0.54 bytes a sample on one worker (one slot),
+    # 1.28-1.35 on two (three slots) and 1.65 on eight (SLOTS = 4).
     rng = np.random.Generator(np.random.Philox(6))
     x = Signal(signals.frozen(rng.uniform(-1.0, 1.0, (2, 1 << 22))), 32000)
     for count, bound in ((1, 1.0), (2, 2.0), (8, 2.5)):

@@ -223,8 +223,9 @@ def test_a_pass_of_at_most_two_blocks_a_slot_runs_inline(workers, futures):
 
 
 def test_every_slot_in_flight_switching_often_gives_the_same_bits(monkeypatch, workers):
-    # Each worker fills one slot's buffers at a time and writes an array
-    # sink's own rows; a slot filled again too early would change the bits.
+    # Each worker fills one slot's buffers at a time, and the consumer
+    # stores each block's dB into the array sink; a slot filled again too
+    # early would change the bits.
     monkeypatch.setattr(sig, "BLOCK_BYTES", 64 << 10)  # four frames a block: over 600 blocks
     x = sig.Signal(_noise(2, N, seed=9), RATE)
     workers(1)
