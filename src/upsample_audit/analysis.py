@@ -2,9 +2,9 @@
 
 One STFT front end (_stft: windowed frames of a mono mixdown, |rFFT| per
 frame) feeds spectrogram and two estimator families, which average its
-frames differently on purpose. The front end reads its input as
-signals.Blocks (a Signal's, whose reads are views, or a WAV file read by
-analyze), mixes each read down and judges cancelling channels itself, so
+frames differently on purpose. The front end reads its input, a Signal
+(whose reads are views) or signals.Blocks (a WAV file read by analyze),
+as it is, mixes each read down and judges cancelling channels itself, so
 a Signal and a file are refused alike. It yields the frames in blocks of
 about BLOCK_BYTES / SLOTS. Each frame block reads its own samples, so
 blocks are computed apart: signals.ordered_map runs the pure per-block
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (
-    BLOCK_BYTES, SLOTS, Blocks, Signal, _all_finite, _integer, frame_blocks, frozen, ordered_map,
+    BLOCK_BYTES, SLOTS, Signal, _all_finite, _integer, frame_blocks, frozen, ordered_map,
     readonly_float64, white_noise,
 )
 from .upsamplers.config import WAVELET_KINDS, UpsamplerSpec, _check_factor, apply
@@ -62,8 +62,9 @@ _MAG_FLOOR = 10.0 ** (DB_FLOOR / 20.0)
 
 _WINDOWS = {"hann": np.hanning, "rect": np.ones}
 
-def _stft(x: Blocks, window_size: int, hop: int, window: str = "hann") -> tuple:
-    """Check the framing of x; return the window, the frame count and the pass, `blocks(post=None)`.
+def _stft(x, window_size: int, hop: int, window: str = "hann") -> tuple:
+    """Check the framing of x (a Signal or Blocks); return the window, the frame count and the pass,
+    `blocks(post=None)`.
 
     The pass yields (rows, |rFFT| of those windowed frames, post(rows,
     that |rFFT| block) or None) in frame order. A block holds about
@@ -233,7 +234,7 @@ class Spectrogram:
 def spectrogram(x: Signal, window_size: int = 512, hop: int = 128, window: str = "hann") -> Spectrogram:
     """Magnitude STFT in dB. window_size must be a power of two, hop <= window_size."""
     window_size, hop = _integer("window_size", window_size), _integer("hop", hop)
-    db, _ = _spectrogram_stream(Blocks.of(x), window_size, hop, window,
+    db, _ = _spectrogram_stream(x, window_size, hop, window,
                                 lambda frames: np.empty((frames, window_size // 2 + 1)), False)
     return Spectrogram(frozen(db), x.sample_rate_hz, window_size, hop, window)
 
@@ -276,12 +277,12 @@ class AveragedSpectrum:
 def avg_spectrum(x: Signal, window_size: int = 512) -> AveragedSpectrum:
     """Mean per-frame STFT magnitude: Hann window, 50% overlap, at least 16 frames."""
     window_size = _integer("window_size", window_size)
-    return _spectrogram_stream(Blocks.of(x), window_size, window_size // 2, "hann", None, True)[1]
+    return _spectrogram_stream(x, window_size, window_size // 2, "hann", None, True)[1]
 
 
-def _spectrogram_stream(x: Blocks, window_size: int, hop: int, window: str, out, average: bool) -> tuple:
-    """(out(frames) given every block of x's spectrogram in dB, or None if out is None; the avg_spectrum
-    if `average`).
+def _spectrogram_stream(x, window_size: int, hop: int, window: str, out, average: bool) -> tuple:
+    """(out(frames) given every block of the spectrogram in dB of x, a Signal or Blocks, or None if out is
+    None; the avg_spectrum if `average`).
 
     out(frames) gives the sink: an array, or an object with `prepare(db)`
     and `[rows] =`; an array's prepare is the identity. Its prepare runs in
@@ -512,11 +513,11 @@ def measure_response(
             out = cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting)
         else:
             out = apply(spec, white_noise(n, fs_in, seed))
-        trimmed = Blocks.over(out.data[:, _EDGE_TRIM : out.num_samples - _EDGE_TRIM], out.sample_rate_hz)
         if out.num_samples <= 2 * _EDGE_TRIM + window_size:
             raise ValueError(
                 f"output too short for edge trimming: {out.num_samples} samples; increase n"
             )
+        trimmed = Signal(out.data[:, _EDGE_TRIM : out.num_samples - _EDGE_TRIM], out.sample_rate_hz)
         _, frames, blocks = _stft(trimmed, window_size, window_size // 2)
         acc = acc + _sum_frames(mags ** 2 for _, mags, _ in blocks())
         total_frames += frames

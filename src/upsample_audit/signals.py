@@ -7,10 +7,11 @@ stable across numpy versions, so repeated calls are bit-identical.
 Samples are stored as 64-bit floats internally regardless of file format;
 WAV I/O converts at the boundary. A `Signal` is a whole waveform and
 `Blocks` its lazy form: a channel count, a length, a rate and a function
-that fills any block of columns into a view. Every stage reads its input
-as Blocks, any columns in any order: a Signal's Blocks read views of its
-data, and `wav_blocks`, a file's Blocks, fills each read straight from
-the file's frames. `read_wav` collects a file into a Signal.
+that fills any block of columns into a view. Every stage reads its input,
+a Signal or Blocks, by their two shared methods, any columns in any
+order: a Signal's `read` is a view of its data and its `fill` a copy of
+it, and `wav_blocks`, a file's Blocks, fills each read straight from the
+file's frames. `read_wav` collects a file into a Signal.
 `write_wav_blocks` fills each block straight into a buffer of the file's
 interleaved frames, float32 frames taking numpy's cast at the store, so
 no float64 block is made between the producer and the file.
@@ -185,6 +186,14 @@ class Signal:
     def duration_s(self) -> float:
         return self.num_samples / self.sample_rate_hz
 
+    def read(self, cols: slice) -> np.ndarray:
+        """Columns `cols` as a read-only view of data, where Blocks.read fills them afresh."""
+        return self.data[:, cols]
+
+    def fill(self, out: np.ndarray, cols: slice) -> None:
+        """Store columns `cols` into out one channel at a time (see store_rows), as Blocks.fill does."""
+        store_rows(out, self.data[:, cols])
+
 
 def store_rows(out: np.ndarray, block: np.ndarray) -> None:
     """Store a (C, n) block into out one channel at a time: into the transposed view of a buffer of
@@ -201,40 +210,22 @@ class Blocks:
     `out`, a (channels, cols.stop - cols.start) array or view of any float
     dtype, writing every element; a float32 `out` takes numpy's cast at the
     store, which rounds as `astype` does. It is a pure function of `cols`,
-    so a block can be filled again, and in any order. Blocks start at
-    multiples of `group` columns. `read(cols)` gives any columns as a
-    read-only float64 array: a view of `data`, the whole array of Blocks
-    made `over` one (a Signal's, by `of`), or else a fresh fill, checked to
-    be finite as Signal checks. `slices` gives the columns of each block
-    of about BLOCK_BYTES, and `signal` fills them into one whole array, a
-    Signal. `padded` carries a Signal's flag (see Signal).
+    so a block can be filled again, and in any order. `read(cols)` gives
+    any columns as a fresh float64 fill, read-only and checked to be
+    finite as Signal checks. `slices` gives the columns of each block of
+    about BLOCK_BYTES, and `signal` fills them into one whole array, a
+    Signal. A Signal has `read` and `fill` too, so every stage takes
+    either. A stream made block by block never carries a wavelet pad.
     """
 
     channels: int
     num_samples: int
     sample_rate_hz: int
     fill: Callable
-    group: int = 1
-    padded: bool = False
-    data: np.ndarray | None = None
-
-    @classmethod
-    def over(cls, data: np.ndarray, sample_rate_hz: int, padded: bool = False) -> Blocks:
-        """Blocks over a finite (channels, num_samples) float64 array, each block stored one channel at a
-        time (see store_rows) and each read a view."""
-        return cls(*data.shape, sample_rate_hz, lambda out, cols: store_rows(out, data[:, cols]),
-                   padded=padded, data=data)
-
-    @classmethod
-    def of(cls, x) -> Blocks:
-        """A Signal's columns as Blocks over its data, with its padded flag; Blocks are returned as they are."""
-        return x if isinstance(x, Blocks) else cls.over(x.data, x.sample_rate_hz, x.padded)
+    padded = False  # a class constant, not a field (see Signal.padded)
 
     def read(self, cols: slice) -> np.ndarray:
-        """Columns `cols` as a read-only float64 array: a view of `data`, or else a fresh fill into an array of its
-        own, refused if it holds a non-finite sample."""
-        if self.data is not None:
-            return self.data[:, cols]
+        """Columns `cols` as a read-only float64 array filled afresh, refused if it holds a non-finite sample."""
         out = np.empty((self.channels, cols.stop - cols.start))
         self.fill(out, cols)
         if not _all_finite(out):
@@ -242,10 +233,8 @@ class Blocks:
         return frozen(out)
 
     def slices(self):
-        """Consecutive column slices of about BLOCK_BYTES of float64 each, on multiples of group."""
-        g = self.group
-        for cols in frame_blocks(-(-self.num_samples // g), 8 * g * self.channels):
-            yield slice(g * cols.start, min(g * cols.stop, self.num_samples))
+        """Consecutive column slices of about BLOCK_BYTES of float64 each."""
+        return frame_blocks(self.num_samples, 8 * self.channels)
 
     def signal(self) -> Signal:
         """The whole stream as a Signal, each block filled into the columns of one float64 array."""
@@ -352,8 +341,9 @@ def replacing(path, size: int = 0):
         raise
 
 
-def write_wav_blocks(path, blocks: Blocks, fmt: str = "float32") -> None:
-    """Write `blocks` through `replacing` as one WAV file, each block filled straight into a buffer of file frames.
+def write_wav_blocks(path, blocks, fmt: str = "float32") -> None:
+    """Write a Signal or Blocks through `replacing` as one WAV file, each block filled straight into a buffer of
+    file frames.
 
     A format other than pcm16 and float32, more than two channels, a data
     chunk over MAX_WAV_DATA_BYTES or a rate check_wav_rate refuses raises
@@ -389,7 +379,7 @@ def write_wav_blocks(path, blocks: Blocks, fmt: str = "float32") -> None:
     with replacing(path, len(header) + data_bytes) as fh:
         fh.write(header)
         buffer, warned = None, False
-        for cols in blocks.slices():
+        for cols in frame_blocks(num_samples, 8 * channels):  # the columns of Blocks.slices
             if buffer is None:
                 buffer = np.empty((cols.stop - cols.start, channels), "<f4" if fmt == "float32" else np.float64)
             frames = buffer[: cols.stop - cols.start]
@@ -416,7 +406,7 @@ def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
     with symmetric scale 32767; samples outside [-1, 1] are saturated with
     a warning.
     """
-    write_wav_blocks(path, Blocks.of(signal), fmt)
+    write_wav_blocks(path, signal, fmt)
 
 
 def _pcm16(frames: np.ndarray) -> np.ndarray:

@@ -8,16 +8,18 @@ the rectangular, triangular and windowed-sinc prototypes (DC gain M, so a
 constant input maps to itself); seeded random filters for transposed and
 subpixel; per wavelet cascade level, with the detail band at zero, the
 base's two-tap synthesis lowpass. `apply` and `largest_array` read the
-table. `apply_blocks` and `wavelet_roundtrip_blocks` read a layer's input
-as `signals.Blocks` and give its output as Blocks, which carry the output
-rate and length before any sample is computed and fill a block at a time
-into any float view (the file's float32 frames when written, a float64
-array when `apply` collects them into a Signal). `_polyphase` fills a
-block one tile at a time, and each tile reads once only the input columns
-it needs. Each level of a wavelet cascade is Blocks over the last. The
-transposed and subpixel kinds are the depthwise (one filter per channel)
-case of the dense O×C layers; the tests hold those dense layers, written
-out apart from this kernel, as the reference `apply` is checked against.
+table. `apply_blocks` and `wavelet_roundtrip_blocks` read a layer's input,
+a Signal or `signals.Blocks` as it is, and give its output as Blocks,
+which carry the output rate and length before any sample is computed and
+fill a block at a time into any float view (the file's float32 frames
+when written, a float64 array when `apply` collects them into a Signal).
+`_polyphase` fills a block one tile at a time, and each tile reads once
+only the input columns it needs. Each level of a wavelet cascade is
+Blocks over the last. A round trip fills any columns from the groups of
+2**levels input samples that hold them. The transposed and subpixel
+kinds are the depthwise (one filter per channel) case of the dense O×C
+layers; the tests hold those dense layers, written out apart from this
+kernel, as the reference `apply` is checked against.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ def _span(lo: int, hi: int, k: int, t: int) -> tuple:
     return (0, k) if k < t else (max(0, min(lo, k - t)), min(k, max(hi, t)))
 
 
-def _polyphase(x: Blocks, m: int, h: np.ndarray, start: int, divisor, out: np.ndarray, cols: slice) -> None:
-    """Columns `cols` of one of layer_filter's levels run on x (C, K), written into out.
+def _polyphase(x, m: int, h: np.ndarray, start: int, divisor, out: np.ndarray, cols: slice) -> None:
+    """Columns `cols` of one of layer_filter's levels run on x (C, K), a Signal or Blocks, written into out.
 
     The level divides x by `divisor` unless it is None, inserts zeros by m,
     filters by h and keeps the window that starts at column `start`. The
@@ -303,7 +305,7 @@ def largest_array(spec: UpsamplerSpec, channels: int, num_samples: int) -> int:
 def apply_blocks(spec: UpsamplerSpec, x) -> Blocks:
     """apply(spec, x) as signals.Blocks at M times x's rate, one block of output columns at a time.
 
-    x is a Signal or the Blocks it is read from (a file's, say). Each of
+    x is a Signal or Blocks (a file's, say), read as it is. Each of
     layer_filter's levels is Blocks over the last (see _polyphase), so a
     wavelet cascade's x2 band is read, and checked to be finite, as a file
     is. Each block of the last is written straight into the view it is
@@ -311,7 +313,6 @@ def apply_blocks(spec: UpsamplerSpec, x) -> Blocks:
     checked to be finite; besides a Signal x, no array larger than a block
     is made.
     """
-    x = Blocks.of(x)
     for m, h, start, length, divisor in layer_filter(spec, x.num_samples, x.padded):
         x = Blocks(x.channels, length, m * x.sample_rate_hz, partial(_polyphase, x, m, h, start, divisor))
     return x
@@ -325,23 +326,26 @@ def apply(spec: UpsamplerSpec, x: Signal) -> Signal:
 def wavelet_roundtrip_blocks(spec: UpsamplerSpec, x) -> Blocks:
     """wavelet_roundtrip(spec, x) as signals.Blocks at x's rate, one block of columns at a time.
 
-    x is a Signal or its Blocks. Analysis and synthesis are local to each
-    group of 2**levels samples, so each block starts at a multiple of that
-    and makes the round trip on its own columns of x, read into a Signal;
-    only the last block can be odd, and it pads and trims as the whole
-    signal does. Each block's float64 result is stored into the view it is
-    given one channel at a time.
+    x is a Signal or Blocks, read as it is. Analysis and synthesis are
+    local to each group of 2**levels samples, so a fill widens `cols` to
+    the groups that hold them, clamped to x's end, makes the round trip on
+    those columns of x, read into a Signal, and stores the ones asked for,
+    one channel at a time: only a span that ends at x's end can be odd,
+    and it pads and trims as the whole signal does. So any columns, in any
+    order, are those of wavelet_roundtrip bit for bit.
     """
     if spec.kind not in WAVELET_KINDS:
         raise ValueError(f"round trip is defined for wavelet kinds, not {spec.kind!r}")
-    x = Blocks.of(x)
+    g = 2**spec.wavelet_levels
 
-    def fill(out, cols):  # the input block is held by no name, so it is freed before the synthesis
-        coarse, details = cascade_analysis(Signal(x.read(cols), x.sample_rate_hz), spec.wavelet_base,
+    def fill(out, cols):  # the input span is held by no name, so it is freed before the synthesis
+        lo, hi = cols.start - cols.start % g, min(-(-cols.stop // g) * g, x.num_samples)
+        coarse, details = cascade_analysis(Signal(x.read(slice(lo, hi)), x.sample_rate_hz), spec.wavelet_base,
                                            spec.wavelet_levels, spec.lifting)
-        store_rows(out, cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting).data)
+        back = cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting)
+        store_rows(out, back.data[:, cols.start - lo : cols.stop - lo])
 
-    return Blocks(x.channels, x.num_samples, x.sample_rate_hz, fill, 2**spec.wavelet_levels)
+    return Blocks(x.channels, x.num_samples, x.sample_rate_hz, fill)
 
 
 def wavelet_roundtrip(spec: UpsamplerSpec, x: Signal) -> Signal:

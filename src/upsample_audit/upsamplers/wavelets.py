@@ -138,11 +138,16 @@ def haar_synthesis(coarse: Signal, detail: Signal) -> Signal:
     return Signal(frozen(out), 2 * coarse.sample_rate_hz)
 
 
-def lifting_analysis(x: Signal, params: LiftingParams):
-    """Split, predict, update, normalize: d = o - P*e; c = e + U*d; out (A*c, d/A)."""
+def _lift(x: Signal, params: LiftingParams):
+    """Split, predict, update: (e, d = o - P*e, c = e + U*d, padded), e and o the polyphase phases."""
     even, odd, padded = _split(x)
     d = odd - params.p * even
-    c = even + params.u * d
+    return even, d, even + params.u * d, padded
+
+
+def lifting_analysis(x: Signal, params: LiftingParams):
+    """Split, predict, update, normalize: d = o - P*e; c = e + U*d; out (A*c, d/A)."""
+    _, d, c, padded = _lift(x, params)
     return _band_pair(x, params.a * c, d / params.a, padded)
 
 
@@ -169,9 +174,7 @@ def lifting_param_grads(x: Signal, params: LiftingParams) -> LiftingGradients:
       d(A*c)/dU = A*d         d(d/A)/dU = 0
       d(A*c)/dA = c           d(d/A)/dA = -d/A^2
     """
-    even, odd, _ = _split(x)
-    d = odd - params.p * even
-    c = even + params.u * d
+    even, d, c, _ = _lift(x, params)
     return LiftingGradients(
         coarse_wrt_p=-params.a * params.u * even,
         coarse_wrt_u=params.a * d,

@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from upsample_audit import signals as sig
-from upsample_audit.signals import Blocks, Signal
+from upsample_audit.signals import Signal
 from upsample_audit.upsamplers import KINDS, LiftingParams, UpsamplerSpec, apply, config
 from upsample_audit.upsamplers.config import WAVELET_KINDS, layer_filter
 
 
 def _kernel(x, h, m, start, length, out):
     """config._polyphase on the rows of x over columns [0, length) of the window that starts at `start`."""
-    config._polyphase(Blocks.over(x, 1), m, h, start, None, out, slice(0, length))
+    config._polyphase(Signal(x, 1), m, h, start, None, out, slice(0, length))
     return out
 
 

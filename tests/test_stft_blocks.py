@@ -81,8 +81,8 @@ def test_measure_response_matches_one_shot(frames):
 
 
 def spectrogram_and_average(x, window_size=512, hop=128, window="hann"):
-    """The spectrogram and the avg_spectrum of x from the one pass analyze makes, over x's Blocks."""
-    db, spectrum = ana._spectrogram_stream(signals.Blocks.of(x), window_size, hop, window,
+    """The spectrogram and the avg_spectrum of x from the one pass analyze makes, over x as it is."""
+    db, spectrum = ana._spectrogram_stream(x, window_size, hop, window,
                                            lambda frames: np.empty((frames, window_size // 2 + 1)), True)
     return ana.Spectrogram(signals.frozen(db), x.sample_rate_hz, window_size, hop, window), spectrum
 

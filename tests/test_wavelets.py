@@ -11,6 +11,7 @@ from upsample_audit.upsamplers import (
     UpsamplerSpec,
     WaveletFilters,
     apply,
+    apply_blocks,
     cascade_analysis,
     cascade_synthesis,
     haar_analysis,
@@ -19,6 +20,7 @@ from upsample_audit.upsamplers import (
     lifting_param_grads,
     lifting_synthesis,
     wavelet_roundtrip,
+    wavelet_roundtrip_blocks,
 )
 from upsample_audit.upsamplers.wavelets import detail_shapes
 
@@ -234,6 +236,19 @@ class TestCascade:
         y = cascade_synthesis(coarse, details, "haar")
         assert y.channels == 2
         assert _max_err(y.data, x.data) < 1e-9
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_round_trip_blocks_give_any_columns_of_the_whole_round_trip(self, factor):
+        # A fill widens its columns to the groups of 2**levels samples that hold them, so columns off a group,
+        # the padded tail of an odd length and the tiles a further layer reads are the whole round trip's bits.
+        spec = UpsamplerSpec(kind="wavelet-lifting", factor=factor, lifting=LiftingParams(0.5, 0.25, 1.2))
+        x = Signal(np.random.Generator(np.random.Philox(factor)).uniform(-1.0, 1.0, (2, 100_001)), 8000)
+        whole, blocks = wavelet_roundtrip(spec, x), wavelet_roundtrip_blocks(spec, x)
+        k = x.num_samples
+        for cols in (slice(1, 9), slice(3, 4), slice(5, 1006), slice(k - 7, k), slice(k - 1, k), slice(0, k)):
+            assert np.array_equal(blocks.read(cols), whole.data[:, cols])
+        sinc = UpsamplerSpec(kind="sinc", factor=3)
+        assert np.array_equal(apply_blocks(sinc, blocks).signal().data, apply(sinc, whole).data)
 
     def test_detail_shapes_double_per_level(self):
         coarse = Signal(np.zeros((2, 5)), 4000)

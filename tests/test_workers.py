@@ -186,7 +186,7 @@ class _RaisingSink:
 def test_a_consumer_that_raises_or_stops_partway_does_not_hang_the_pass(monkeypatch, workers, futures):
     monkeypatch.setattr(sig, "BLOCK_BYTES", 64 << 10)
     workers(2)
-    x = sig.Blocks.of(sig.Signal(_noise(2, N, seed=8), RATE))
+    x = sig.Signal(_noise(2, N, seed=8), RATE)
     threads = threading.active_count()
     outcome = []
 
@@ -304,7 +304,7 @@ rng = np.random.Generator(np.random.Philox(12))
 x = sig.Signal(sig.frozen(rng.uniform(-1.0, 1.0, (2, 1 << 20))), 32000)
 got = []
 ana._refuse_cancelling = got.append
-for _ in ana._stft(sig.Blocks.of(x), 512, 128)[2]():
+for _ in ana._stft(x, 512, 128)[2]():
     pass
 print(got[0].tobytes().hex())
 """
