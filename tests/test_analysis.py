@@ -471,3 +471,16 @@ class TestPerfectReconstruction:
         x = white_noise(1024, 8000, 19)
         err = ana.perfect_reconstruction_error(base, levels, x, lifting=lifting)
         assert err < 1e-9
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize(
+        "base,lifting",
+        [("haar", None), ("lazy", None), ("lifting", LiftingParams(0.3, -0.2, 1.7)),
+         ("lifting", LiftingParams(-1.9, 1.4, -0.15))],
+    )
+    def test_a_stacked_signal_errs_by_the_max_of_its_rows(self, base, levels, lifting):
+        # verify's pr suite relies on this when it checks 50 signals as the
+        # rows of one Signal: every wavelet step is elementwise within a row
+        rows = 2.0 * np.random.Generator(np.random.Philox(31)).random((50, 1024)) - 1.0
+        each = [ana.perfect_reconstruction_error(base, levels, Signal(row, 8000), lifting) for row in rows]
+        assert ana.perfect_reconstruction_error(base, levels, Signal(rows, 8000), lifting) == max(each)

@@ -222,6 +222,16 @@ class TestUpsample:
         assert proc.stderr.splitlines() == [f"error: {flag} must be finite, got nan"]
         assert not out.exists()
 
+    def test_a_negative_exponent_is_a_value_apart_from_its_flag(self, tmp_path):
+        src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 8000)
+        layer = ["--layer", "wavelet-lifting", "--factor", 2, "--P", 0, "--A", 1]
+        run_cli("upsample", "--in", src, "--out", tmp_path / "apart.wav", *layer, "--U", "-1e-5")
+        run_cli("upsample", "--in", src, "--out", tmp_path / "joined.wav", *layer, "--U=-1e-5")
+        assert (tmp_path / "apart.wav").read_bytes() == (tmp_path / "joined.wav").read_bytes()
+        proc = run_cli("upsample", "--in", src, "--out", tmp_path / "inf.wav", *layer, "--U", "-inf", expect=2)
+        assert proc.stderr.splitlines() == ["error: --U must be finite, got -inf"]
+        assert not (tmp_path / "inf.wav").exists()
+
     def test_subpixel_requires_length(self, tmp_path):
         src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 8000)
         run_cli(
@@ -429,7 +439,7 @@ class TestAnalyze:
         )
         assert "error:" in proc.stderr
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_is_refused(self, stretched_ones, tmp_path, value):
         report, pgm = tmp_path / "r.json", tmp_path / "s.pgm"
         proc = run_cli(
@@ -535,3 +545,29 @@ class TestVerify:
         assert summary["command"] == "verify"
         assert summary["failures"] == 0
         assert summary["passed"] is True
+
+    def test_pr_checks_its_50_signals_in_one_call_per_configuration(self, monkeypatch):
+        """Haar and lazy at 1 and 2 levels, 20 lifting triples at 1 and 2 levels, and the odd-length case: 45 calls.
+
+        Checked one signal at a time, the same lines would take 2,201 calls.
+        """
+        channels = []
+        measure = ana.perfect_reconstruction_error
+
+        def counted(base, levels, x, lifting=None):
+            channels.append(x.channels)
+            return measure(base, levels, x, lifting)
+
+        monkeypatch.setattr(ana, "perfect_reconstruction_error", counted)
+        proc = run_cli("verify", "--suite", "pr")
+        assert channels == [50] * 44 + [1]
+        assert proc.stdout.splitlines() == [
+            "[pr] haar levels=1 round trip: value=3.33067e-16 < 1e-09 PASS",
+            "[pr] haar levels=2 round trip: value=6.66134e-16 < 1e-09 PASS",
+            "[pr] lazy levels=1 round trip: value=0 < 1e-09 PASS",
+            "[pr] lazy levels=2 round trip: value=0 < 1e-09 PASS",
+            "[pr] lifting 20 random triples levels=1 round trip: value=2.88658e-15 < 1e-09 PASS",
+            "[pr] lifting 20 random triples levels=2 round trip: value=2.69784e-14 < 1e-09 PASS",
+            "[pr] haar odd-length pad round trip: value=3.33067e-16 < 1e-09 PASS",
+            '{"schema": 1, "command": "verify", "suite": "pr", "checks": 7, "failures": 0, "passed": true}',
+        ]
