@@ -282,18 +282,19 @@ def avg_spectrum(x: Signal, window_size: int = 512) -> AveragedSpectrum:
 
 def _spectrogram_stream(x, window_size: int, hop: int, window: str, out, average: bool) -> tuple:
     """(out(frames) given every block of the spectrogram in dB of x, a Signal or Blocks, or None if out is
-    None; the avg_spectrum if `average`).
+    None or gives None; the avg_spectrum if `average`).
 
-    out(frames) gives the sink: an array, or an object with `prepare(db)`
-    and `[rows] =`; an array's prepare is the identity. Its prepare runs in
-    _stft's workers on each block's dB, made in an array of its own, and
-    may overwrite it; the one consumer loop stores prepare's results
-    `sink[rows] = made` in frame order and, when averaging, sums every
-    (window_size/2 // hop)-th frame, the avg_spectrum's frames, as they
-    stream past. So with the Hann window and a hop that divides
-    window_size/2 one pass serves both, and both equal the whole-array
-    spectrogram and avg_spectrum bit for bit; otherwise the avg_spectrum's
-    own pass (hop window_size/2, out None) and its errors come first.
+    out(frames) gives the sink: an array, an object with `prepare(db)` and
+    `[rows] =`, or None, for which no block's dB is taken; an array's
+    prepare is the identity. Its prepare runs in _stft's workers on each
+    block's dB, made in an array of its own, and may overwrite it; the one
+    consumer loop stores prepare's results `sink[rows] = made` in frame
+    order and, when averaging, sums every (window_size/2 // hop)-th frame,
+    the avg_spectrum's frames, as they stream past. So with the Hann
+    window and a hop that divides window_size/2 one pass serves both, and
+    both equal the whole-array spectrogram and avg_spectrum bit for bit;
+    otherwise the avg_spectrum's own pass (hop window_size/2, out None)
+    and its errors come first.
     """
     half = window_size // 2
     # The average's own pass takes the shared branch even where _stft refuses its window, so no loop.

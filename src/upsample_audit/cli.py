@@ -127,11 +127,11 @@ def cmd_upsample(args) -> int:
 
     Each block reads only the input columns it needs from the file
     (signals.wav_blocks), refusing a non-finite one as it reads it, and
-    signals.write_wav_blocks fills the block straight into the file's
-    float32 frames and checks it as it writes it, into a file that
-    replaces the target only once every block has passed. So a refusal
-    found while writing leaves no file behind, and `--out` may name the
-    input, which is read until the output replaces it.
+    signals.write_wav fills the block straight into the file's float32
+    frames and checks it as it writes it, into a file that replaces the
+    target only once every block has passed. So a refusal found while
+    writing leaves no file behind, and `--out` may name the input, which
+    is read until the output replaces it.
     """
     spec = _spec_from_args(args)
     _check_target(args.out, "--out")
@@ -142,7 +142,7 @@ def cmd_upsample(args) -> int:
         sig.check_wav_size(largest_array(spec, source.channels, source.num_samples))
         sig.check_wav_rate(spec.factor * source.sample_rate_hz, 4 * source.channels)
         blocks = apply_blocks(spec, source)
-    sig.write_wav_blocks(args.out, blocks)
+    sig.write_wav(args.out, blocks)
     print(_json_line({
         "schema": 1,
         "command": "upsample",
@@ -301,7 +301,8 @@ def cmd_analyze(args) -> int:
     that names the input is refused before the input is read, as it would
     replace the file it was computed from. The CSV and the PGM are opened
     when the frame count is known, before the pass. Each frame block of the
-    pass reads its own samples from the file.
+    pass reads its own samples from the file. With neither the CSV nor the
+    PGM asked for, the pass has no sink and takes no block's dB.
     """
     if (args.fs_in is None) != (args.factor is None):
         raise ValueError("replica prediction requires both --fs-in and --factor")
@@ -317,11 +318,15 @@ def cmd_analyze(args) -> int:
         _check_target(target, flag)
     blocks = sig.wav_blocks(path)
     bins = args.stft_size // 2 + 1
-    artifacts = None
+    artifacts = frames = None
 
     with contextlib.ExitStack() as outputs:
 
-        def exports(frames):
+        def exports(count):
+            nonlocal frames
+            frames = count
+            if not (args.csv or args.pgm):
+                return None  # no sink, so the pass takes no block's dB
             csv = outputs.enter_context(sig.replacing(args.csv)) if args.csv else None
             pgm = None
             if args.pgm:
@@ -330,7 +335,7 @@ def cmd_analyze(args) -> int:
                 pgm.write(header)
             return _Exports(frames, bins, csv, pgm)
 
-        spect, spectrum = ana._spectrogram_stream(
+        _, spectrum = ana._spectrogram_stream(
             blocks, args.stft_size, args.hop, args.window, exports, args.fs_in is not None
         )
         if spectrum is not None:
@@ -363,7 +368,7 @@ def cmd_analyze(args) -> int:
                 "num_samples": blocks.num_samples,
             },
             "spectrogram": {
-                "frames": spect.frames,
+                "frames": frames,
                 "bins": bins,
                 "csv": args.csv,
                 "pgm": args.pgm,

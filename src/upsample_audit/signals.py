@@ -12,9 +12,9 @@ a Signal or Blocks, by their two shared methods, any columns in any
 order: a Signal's `read` is a view of its data and its `fill` a copy of
 it, and `wav_blocks`, a file's Blocks, fills each read straight from the
 file's frames. `read_wav` collects a file into a Signal.
-`write_wav_blocks` fills each block straight into a buffer of the file's
-interleaved frames, float32 frames taking numpy's cast at the store, so
-no float64 block is made between the producer and the file.
+`write_wav` fills each block of a Signal or Blocks straight into a buffer
+of the file's interleaved frames, float32 frames taking numpy's cast at
+the store, so no float64 block is made between the producer and the file.
 `ordered_map` runs a function over a pass's block slices on a thread per
 CPU, up to SLOTS, and yields the results in slice order; the threads are
 the pass's own, joined when it ends, so the module keeps no pool.
@@ -341,9 +341,9 @@ def replacing(path, size: int = 0):
         raise
 
 
-def write_wav_blocks(path, blocks, fmt: str = "float32") -> None:
-    """Write a Signal or Blocks through `replacing` as one WAV file, each block filled straight into a buffer of
-    file frames.
+def write_wav(path, x, fmt: str = "float32") -> None:
+    """Write x, a Signal or Blocks, through `replacing` as one WAV file, each block filled straight into a
+    buffer of file frames.
 
     A format other than pcm16 and float32, more than two channels, a data
     chunk over MAX_WAV_DATA_BYTES or a rate check_wav_rate refuses raises
@@ -354,11 +354,13 @@ def write_wav_blocks(path, blocks, fmt: str = "float32") -> None:
     by the min and max of its frames. float32 holds +-inf exactly where a
     sample is non-finite or would round to +-inf, so a refused block is
     filled again in float64 to name its peak; the refusal raises
-    ValueError and leaves no file. For pcm16 a sample beyond +-1 warns once.
+    ValueError and leaves no file. float32 is lossless for
+    float32-representable samples; pcm16 saturates at +-1, warning once,
+    and quantizes with symmetric scale 32767.
     """
     if fmt not in ("pcm16", "float32"):
         raise ValueError(f"unsupported format {fmt!r}, expected 'pcm16' or 'float32'")
-    channels, num_samples, rate = blocks.channels, blocks.num_samples, blocks.sample_rate_hz
+    channels, num_samples, rate = x.channels, x.num_samples, x.sample_rate_hz
     if channels > 2:
         raise ValueError(f"only mono and stereo are supported, got {channels} channels")
     bits = 16 if fmt == "pcm16" else 32
@@ -384,11 +386,11 @@ def write_wav_blocks(path, blocks, fmt: str = "float32") -> None:
                 buffer = np.empty((cols.stop - cols.start, channels), "<f4" if fmt == "float32" else np.float64)
             frames = buffer[: cols.stop - cols.start]
             with np.errstate(over="ignore"):  # a sample beyond float32's range is stored as +-inf, refused below
-                blocks.fill(frames.T, cols)
+                x.fill(frames.T, cols)
             peak = max(frames.max(), -frames.min())  # NaN carries through both, and +-inf shows up in one
             if not np.isfinite(peak):  # either refusal: the float64 samples tell which
                 block = np.empty((channels, len(frames)))
-                blocks.fill(block, cols)
+                x.fill(block, cols)
                 peak = max(block.max(), -block.min())
                 if np.isfinite(peak):
                     raise ValueError(f"a sample of magnitude {peak:g} is beyond float32's range")
@@ -397,16 +399,6 @@ def write_wav_blocks(path, blocks, fmt: str = "float32") -> None:
                 warnings.warn("samples outside [-1, 1] are saturated in pcm16 export")
                 warned = True
             fh.write(frames if fmt == "float32" else _pcm16(frames))
-
-
-def write_wav(path, signal: Signal, fmt: str = "float32") -> None:
-    """Write a Signal as a RIFF/WAVE file, its columns one block of frames at a time (see write_wav_blocks).
-
-    float32 is lossless for float32-representable samples. pcm16 quantizes
-    with symmetric scale 32767; samples outside [-1, 1] are saturated with
-    a warning.
-    """
-    write_wav_blocks(path, signal, fmt)
 
 
 def _pcm16(frames: np.ndarray) -> np.ndarray:

@@ -309,6 +309,25 @@ class TestUpsample:
         assert cli.main(list(map(str, argv))) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, length", [(["--layer", "sinc", "--factor", 4], 4 * 4096),
+                                               (["--layer", "wavelet-haar", "--factor", 4,
+                                                 "--wavelet-mode", "roundtrip"], 4096)],
+                             ids=["synthesis", "roundtrip"])
+    def test_the_output_goes_through_write_wav_once(self, tmp_path, monkeypatch, flags, length):
+        src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 4096, "--fs", 8000)
+        out = tmp_path / "up.wav"
+        written = []
+        write_wav = sig.write_wav
+
+        def counted(path, x, fmt="float32"):
+            written.append((path, x.num_samples, fmt))
+            return write_wav(path, x, fmt)
+
+        monkeypatch.setattr(cli.sig, "write_wav", counted)
+        run_cli("upsample", "--in", src, "--out", out, *flags)
+        assert written == [(str(out), length, "float32")]
+        assert read_wav(out).num_samples == length
+
     def test_outputs_beyond_float32_are_refused(self, tmp_path):
         src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 8000)
         out = tmp_path / "up.wav"
@@ -379,6 +398,25 @@ class TestAnalyze:
                 "--fs-in", 8000, "--factor", 4,
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_a_report_without_exports_is_the_exporting_report_and_takes_no_block_db(
+            self, stretched_ones, tmp_path, monkeypatch):
+        csv, pgm = tmp_path / "s.csv", tmp_path / "s.pgm"
+        exported, alone = tmp_path / "exported.json", tmp_path / "alone.json"
+        flags = ["--in", stretched_ones, "--fs-in", 8000, "--factor", 4]
+        run_cli("analyze", *flags, "--report", exported, "--csv", csv, "--pgm", pgm)
+        calls = []
+        to_db = ana._to_db
+
+        def counted(magnitudes, out=None):
+            calls.append(magnitudes.shape)
+            return to_db(magnitudes, out)
+
+        monkeypatch.setattr(ana, "_to_db", counted)
+        run_cli("analyze", *flags, "--report", alone)
+        assert calls == [(257,)]  # the average's, and no block's
+        text = exported.read_text().replace(json.dumps(str(csv)), "null").replace(json.dumps(str(pgm)), "null")
+        assert alone.read_text() == text
 
     def test_csv_round_trips_the_spectrogram(self, tmp_path):
         src = make_wav(tmp_path, "n.wav", "--kind", "noise", "--n", 8192, "--fs", 8000)

@@ -155,7 +155,7 @@ def test_a_later_block_beyond_float32_is_refused_with_its_float64_peak(tmp_path,
             if path == "write_wav":
                 sig.write_wav(out, x)
             else:
-                sig.write_wav_blocks(out, dataclasses.replace(blocks, fill=fill))
+                sig.write_wav(out, dataclasses.replace(blocks, fill=fill))
     assert caught == []
     assert str(refused.value).splitlines() == [message]
     assert path == "write_wav" or filled[0].start == 0 < filled[-1].start
