@@ -11,7 +11,8 @@ blocks are computed apart: signals.ordered_map runs the pure per-block
 work (read, mixdown, window, rFFT, |.|, the dB and a sink's prepare) on
 one worker thread per CPU the process may use, up to SLOTS, made for the
 pass and joined when it ends (inline for a pass of at most 2 * SLOTS
-blocks). Each block's samples, mixdown and dB are arrays of the worker
+blocks, or for one started on such a worker, as verify's measurements
+are). Each block's samples, mixdown and dB are arrays of the worker
 call's own; its windowed frames and magnitudes go into the buffers of
 one of at most SLOTS slots allocated once per pass, and the blocks are
 handed back in frame order. What depends on order stays in the one
@@ -47,14 +48,15 @@ variance, not by the layer. null_exclusion_mask operationalizes that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .signals import (
-    BLOCK_BYTES, SLOTS, Signal, _all_finite, _integer, frame_blocks, frozen, ordered_map,
+    BLOCK_BYTES, SLOTS, Blocks, Signal, _all_finite, _integer, frame_blocks, frozen, ordered_map,
     readonly_float64, white_noise,
 )
-from .upsamplers.config import WAVELET_KINDS, UpsamplerSpec, _check_factor, apply
+from .upsamplers.config import WAVELET_KINDS, UpsamplerSpec, _check_factor, apply_blocks
 from .upsamplers.wavelets import LiftingParams, cascade_analysis, cascade_synthesis, detail_shapes
 
 DB_FLOOR = -120.0
@@ -479,6 +481,11 @@ _EDGE_TRIM = 2048
 _POWER_FLOOR = 1e-30
 
 
+def _shifted_fill(x, offset: int, out: np.ndarray, cols: slice) -> None:
+    """Fill out with columns `cols` of x, a Signal or Blocks, moved `offset` columns on."""
+    x.fill(out, slice(cols.start + offset, cols.stop + offset))
+
+
 def measure_response(
     spec: UpsamplerSpec,
     fs_in: int,
@@ -495,6 +502,12 @@ def measure_response(
     power is Welch-averaged (Hann, 50% overlap), and the result is
     normalized to 0 dB at DC. Deterministic: realization seeds derive
     from spec.seed.
+
+    A layer other than a wavelet kind is streamed: its apply_blocks
+    output goes straight to the STFT, whose frame blocks each fill their
+    own columns, so no realization's output is ever whole. The trim is a
+    column offset into the output (a wavelet synthesis's Signal, or the
+    layer's Blocks), not a copy of its interior.
     """
     realizations = _integer("realizations", realizations)
     if realizations < 1:
@@ -513,12 +526,13 @@ def measure_response(
             ]
             out = cascade_synthesis(coarse, details, spec.wavelet_base, spec.lifting)
         else:
-            out = apply(spec, white_noise(n, fs_in, seed))
+            out = apply_blocks(spec, white_noise(n, fs_in, seed))
         if out.num_samples <= 2 * _EDGE_TRIM + window_size:
             raise ValueError(
                 f"output too short for edge trimming: {out.num_samples} samples; increase n"
             )
-        trimmed = Signal(out.data[:, _EDGE_TRIM : out.num_samples - _EDGE_TRIM], out.sample_rate_hz)
+        trimmed = Blocks(out.channels, out.num_samples - 2 * _EDGE_TRIM, out.sample_rate_hz,
+                         partial(_shifted_fill, out, _EDGE_TRIM))
         _, frames, blocks = _stft(trimmed, window_size, window_size // 2)
         acc = acc + _sum_frames(mags ** 2 for _, mags, _ in blocks())
         total_frames += frames

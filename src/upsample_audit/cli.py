@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -444,6 +445,18 @@ def _pr_suite(suite: _Suite) -> None:
     )
 
 
+def _measured(tasks):
+    """The results of `tasks`, zero-argument calls, in order, computed on signals.ordered_map's threads.
+
+    Read them with next() inside the `with`: a suite prints each line as
+    its measurement arrives, so its lines keep their order, and the first
+    failing call in order raises where its line would print, after the
+    lines before it. The calls run on the CPUs the process may use, up to
+    SLOTS, and an analysis pass started inside one runs inline in it.
+    """
+    return contextlib.closing(sig.ordered_map(lambda _slot, task: task(), tasks, lambda: None))
+
+
 def _masked_response_diff(spec: UpsamplerSpec) -> float:
     _, taps, *_ = next(layer_filter(spec, 1))
     measured = ana.measure_response(spec, _FS_IN)
@@ -452,38 +465,54 @@ def _masked_response_diff(spec: UpsamplerSpec) -> float:
     return float(np.max(np.abs(measured.magnitude_db[keep] - reference.magnitude_db[keep])))
 
 
-def _noise_bands(layer: UpsamplerSpec, n: int, first_seed: int, count: int) -> np.ndarray:
-    """band_attenuation of the layer's avg_spectrum averaged over `count` white noises of n samples."""
-    spectra = [ana.avg_spectrum(apply(layer, sig.white_noise(n, _FS_IN, first_seed + r))) for r in range(count)]
-    return ana.band_attenuation(ana.average_spectra(spectra), _FS_IN, layer.factor)
+def _noise_spectra(layer: UpsamplerSpec, n: int, seeds: range) -> list:
+    """avg_spectrum of the layer's output for a white noise of n samples at each seed.
+
+    The layer is streamed: its Blocks go straight to avg_spectrum, whose
+    frame blocks each fill their own columns, so no output is ever whole.
+    """
+    return [ana.avg_spectrum(apply_blocks(layer, sig.white_noise(n, _FS_IN, seed))) for seed in seeds]
+
+
+def _noise_bands(spectra: list) -> np.ndarray:
+    """band_attenuation of the average of x4 noise spectra."""
+    return ana.band_attenuation(ana.average_spectra(spectra), _FS_IN, _FACTOR)
 
 
 def _response_suite(suite: _Suite) -> None:
     filters = WaveletFilters.haar()
     omega = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     grid = np.exp(-1j * np.outer(omega, np.arange(2)))
-    ls = np.abs(grid @ filters.ls) ** 2
-    hs = np.abs(grid @ filters.hs) ** 2
+    # einsum, not `@`: a BLAS product would wake OpenBLAS's threads, which spin on the CPUs the tasks run on
+    ls = np.abs(np.einsum("ij,j->i", grid, filters.ls)) ** 2
+    hs = np.abs(np.einsum("ij,j->i", grid, filters.hs)) ** 2
     suite.below("haar |Ls|^2+|Hs|^2 = 2 on 4096-point grid", float(np.max(np.abs(ls + hs - 2.0))), 1e-9)
 
     haar_spec = UpsamplerSpec(kind="wavelet-haar", factor=2, seed=11)
-    flat = ana.measure_response(haar_spec, _FS_IN)
-    suite.at_most("haar synthesis path flatness", float(np.max(np.abs(flat.magnitude_db))), 1.0)
-
     stretch_spec = UpsamplerSpec(kind="stretch", factor=_FACTOR, seed=12)
-    flat = ana.measure_response(stretch_spec, _FS_IN)
-    suite.at_most("stretch response flatness", float(np.max(np.abs(flat.magnitude_db))), 1.0)
-
-    bands = _noise_bands(stretch_spec, 1 << 17, 500, 32)
-    suite.at_most("stretch band attenuation spread", float(np.max(np.abs(bands))), 1.0)
-
-    for kind, factor, seed, reference in (("nearest", 4, 13, "rectangular"), ("linear", 4, 14, "triangular"),
-                                          ("sinc", 4, 15, "windowed-sinc"), ("nearest", 2, 16, "two-tap")):
-        suite.at_most(f"{kind} x{factor} vs analytic {reference} response",
-                      _masked_response_diff(UpsamplerSpec(kind=kind, factor=factor, seed=seed)), 1.0)
-
-    noise_specs = {kind: _noise_bands(UpsamplerSpec(kind=kind, factor=_FACTOR, seed=17), 1 << 15, 600, 8)
-                   for kind in ("nearest", "linear", "sinc")}
+    interpolators = (("nearest", 4, 13, "rectangular"), ("linear", 4, 14, "triangular"),
+                     ("sinc", 4, 15, "windowed-sinc"), ("nearest", 2, 16, "two-tap"))
+    noise_kinds = ("nearest", "linear", "sinc")
+    tasks = [
+        partial(ana.measure_response, haar_spec, _FS_IN),
+        partial(ana.measure_response, stretch_spec, _FS_IN),
+        # 32 noises in four tasks of 8, so no one task is the pass's critical path
+        *(partial(_noise_spectra, stretch_spec, 1 << 17, range(first, first + 8)) for first in range(500, 532, 8)),
+        *(partial(_masked_response_diff, UpsamplerSpec(kind=kind, factor=factor, seed=seed))
+          for kind, factor, seed, _ in interpolators),
+        *(partial(_noise_spectra, UpsamplerSpec(kind=kind, factor=_FACTOR, seed=17), 1 << 15, range(600, 608))
+          for kind in noise_kinds),
+    ]
+    with _measured(tasks) as results:
+        flat = next(results)
+        suite.at_most("haar synthesis path flatness", float(np.max(np.abs(flat.magnitude_db))), 1.0)
+        flat = next(results)
+        suite.at_most("stretch response flatness", float(np.max(np.abs(flat.magnitude_db))), 1.0)
+        bands = _noise_bands([spectrum for _ in range(4) for spectrum in next(results)])
+        suite.at_most("stretch band attenuation spread", float(np.max(np.abs(bands))), 1.0)
+        for kind, factor, _, reference in interpolators:
+            suite.at_most(f"{kind} x{factor} vs analytic {reference} response", next(results), 1.0)
+        noise_specs = {kind: _noise_bands(next(results)) for kind in noise_kinds}
     suite.at_least("sinc stopband attenuation (bands 1-3)", float(-np.max(noise_specs["sinc"][1:])), 30.0)
     suite.below(
         "linear band 3 below nearest band 3",
@@ -492,11 +521,16 @@ def _response_suite(suite: _Suite) -> None:
     )
 
 
+def _spectrum(layer: UpsamplerSpec, x: sig.Signal) -> ana.AveragedSpectrum:
+    """avg_spectrum of the layer's whole output, which for a tonal probe is at most 1 MiB."""
+    return ana.avg_spectrum(apply(layer, x))
+
+
 def _tonal_hits(base: sig.Signal, first_seed: int, **layer) -> int:
     """How many of 10 seeded x4 layers put the 8 kHz line over 6 dB above its background."""
     hits = 0
     for seed in range(first_seed, first_seed + 10):
-        spectrum = ana.avg_spectrum(apply(UpsamplerSpec(factor=4, seed=seed, **layer), base))
+        spectrum = _spectrum(UpsamplerSpec(factor=4, seed=seed, **layer), base)
         hits += ana.tonal_prominence(spectrum, 8000.0) > 6.0
     return hits
 
@@ -504,47 +538,53 @@ def _tonal_hits(base: sig.Signal, first_seed: int, **layer) -> int:
 def _tonal_suite(suite: _Suite) -> None:
     base = sig.ones(1 << 15, _FS_IN)
     replicas = ana.replica_frequencies(_FS_IN, _FACTOR)
-
-    stretched = apply(UpsamplerSpec(kind="stretch", factor=_FACTOR), base)
-    spectrum = ana.avg_spectrum(stretched)
-    for freq in replicas:
-        suite.at_least(
-            f"stretch on ones prominence at {freq:.0f} Hz",
-            ana.tonal_prominence(spectrum, freq),
-            40.0,
-        )
-
-    for kind in ("nearest", "linear", "sinc"):
-        out = apply(UpsamplerSpec(kind=kind, factor=_FACTOR), base)
-        spectrum = ana.avg_spectrum(out)
-        worst = max(ana.tonal_prominence(spectrum, f) for f in replicas)
-        suite.at_most(f"{kind} on ones max prominence", worst, 6.0)
-
-    for length in (4, 8, 9):
-        hits = _tonal_hits(base, 100, kind="transposed", filter_length=length, stride=4)
-        suite.at_least(f"transposed L={length} S=4 tonal hits over 10 seeds", hits, 9)
-    hits = _tonal_hits(base, 200, kind="subpixel", filter_length=9)
-    suite.at_least("subpixel L=9 tonal hits over 10 seeds", hits, 9)
-
     tone_in = sig.tone(8192, _FS_IN, 1000.0)
+    kinds = ("nearest", "linear", "sinc")
+    lengths = (4, 8, 9)
+    tasks = [
+        partial(_spectrum, UpsamplerSpec(kind="stretch", factor=_FACTOR), base),
+        *(partial(_spectrum, UpsamplerSpec(kind=kind, factor=_FACTOR), base) for kind in kinds),
+        *(partial(_tonal_hits, base, 100, kind="transposed", filter_length=length, stride=4) for length in lengths),
+        partial(_tonal_hits, base, 200, kind="subpixel", filter_length=9),
+        partial(_spectrum, UpsamplerSpec(kind="stretch", factor=_FACTOR), tone_in),
+        partial(_spectrum, UpsamplerSpec(kind="sinc", factor=_FACTOR), tone_in),
+    ]
     expected_hz = (1000.0, 7000.0, 9000.0, 15000.0)
-    spectrum = ana.avg_spectrum(apply(UpsamplerSpec(kind="stretch", factor=_FACTOR), tone_in))
-    worst_offset = 0
-    for freq in expected_hz:
-        center = spectrum.bin_of(freq)
-        lo = max(0, center - 5)
-        local = int(np.argmax(spectrum.magnitude_db[lo : center + 6])) + lo
-        worst_offset = max(worst_offset, abs(local - center))
-    suite.at_most("stretch imaging line placement (bins off prediction)", worst_offset, 1)
+    with _measured(tasks) as results:
+        spectrum = next(results)
+        for freq in replicas:
+            suite.at_least(
+                f"stretch on ones prominence at {freq:.0f} Hz",
+                ana.tonal_prominence(spectrum, freq),
+                40.0,
+            )
 
-    spectrum = ana.avg_spectrum(apply(UpsamplerSpec(kind="sinc", factor=_FACTOR), tone_in))
-    carrier = spectrum.magnitude_db[spectrum.bin_of(1000.0)]
-    worst_image = -np.inf
-    for freq in expected_hz[1:]:
-        center = spectrum.bin_of(freq)
-        level = float(np.max(spectrum.magnitude_db[center - 2 : center + 3]))
-        worst_image = max(worst_image, level - carrier)
-    suite.at_most("sinc image suppression relative to carrier", worst_image, -30.0)
+        for kind in kinds:
+            spectrum = next(results)
+            worst = max(ana.tonal_prominence(spectrum, f) for f in replicas)
+            suite.at_most(f"{kind} on ones max prominence", worst, 6.0)
+
+        for length in lengths:
+            suite.at_least(f"transposed L={length} S=4 tonal hits over 10 seeds", next(results), 9)
+        suite.at_least("subpixel L=9 tonal hits over 10 seeds", next(results), 9)
+
+        spectrum = next(results)
+        worst_offset = 0
+        for freq in expected_hz:
+            center = spectrum.bin_of(freq)
+            lo = max(0, center - 5)
+            local = int(np.argmax(spectrum.magnitude_db[lo : center + 6])) + lo
+            worst_offset = max(worst_offset, abs(local - center))
+        suite.at_most("stretch imaging line placement (bins off prediction)", worst_offset, 1)
+
+        spectrum = next(results)
+        carrier = spectrum.magnitude_db[spectrum.bin_of(1000.0)]
+        worst_image = -np.inf
+        for freq in expected_hz[1:]:
+            center = spectrum.bin_of(freq)
+            level = float(np.max(spectrum.magnitude_db[center - 2 : center + 3]))
+            worst_image = max(worst_image, level - carrier)
+        suite.at_most("sinc image suppression relative to carrier", worst_image, -30.0)
 
 
 def _grads_suite(suite: _Suite) -> None:
@@ -586,6 +626,14 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    """Run the named suite, or all four, and print one line per check and a summary.
+
+    The `response` and `tonal` suites compute their measurements, which
+    are independent, on the threads of one signals.ordered_map pass each
+    (see _measured), and print each check's line in order as its
+    measurement arrives, so stdout is the same bytes on any number of
+    CPUs.
+    """
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     checks = 0

@@ -17,7 +17,8 @@ of the file's interleaved frames, float32 frames taking numpy's cast at
 the store, so no float64 block is made between the producer and the file.
 `ordered_map` runs a function over a pass's block slices on a thread per
 CPU, up to SLOTS, and yields the results in slice order; the threads are
-the pass's own, joined when it ends, so the module keeps no pool.
+the pass's own, joined when it ends, so the module keeps no pool, and a
+pass started on one of them runs inline.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import collections
 import os
 import struct
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -58,23 +60,32 @@ def cpu_count() -> int:
 SLOTS = 4
 
 
+# Set on ordered_map's worker threads, so a pass started inside a pooled call runs inline in that worker.
+_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _worker.pooled = True
+
+
 def ordered_map(fn, slices, make_slot):
     """fn(slot, s) for each of `slices`, yielded in order, on up to min(cpu_count(), SLOTS) worker threads.
 
-    A pass of at most 2 * SLOTS slices, or a process on one CPU, runs
-    inline with one slot. Otherwise the pass makes a ThreadPoolExecutor of
-    its own, sized by cpu_count() at the call, with up to threads + 1
-    calls, and never more than SLOTS, in flight; each call is given one of
-    as many slots, which make_slot() makes in the consumer's thread. Call i
-    reuses the slot of call i - slots only once the consumer has asked for
-    the result after that call's, so fn's results may be views of its
-    slot's buffers. The first error in slice order is raised when the
+    A pass of at most 2 * SLOTS slices, a pass started on one of
+    ordered_map's own worker threads, or a process on one CPU, runs inline
+    with one slot, so nested passes never start a second pool. Otherwise
+    the pass makes a ThreadPoolExecutor of its own, sized by cpu_count()
+    at the call, with up to threads + 1 calls, and never more than SLOTS,
+    in flight; each call is given one of as many slots, which make_slot()
+    makes in the consumer's thread. Call i reuses the slot of call
+    i - slots only once the consumer has asked for the result after that
+    call's, so fn's results may be views of its slot's buffers. The first error in slice order is raised when the
     consumer reaches it. When the pass ends, fails or is closed, no further
     call starts and the pool is shut down, its threads joined, so no thread
     outlives the pass and a forked child starts with none.
     """
     slices = list(slices)
-    if len(slices) <= 2 * SLOTS or (threads := min(cpu_count(), SLOTS)) == 1:
+    if len(slices) <= 2 * SLOTS or getattr(_worker, "pooled", False) or (threads := min(cpu_count(), SLOTS)) == 1:
         slot = make_slot()
         for s in slices:
             yield fn(slot, s)
@@ -83,7 +94,7 @@ def ordered_map(fn, slices, make_slot):
 
     slots = [make_slot() for _ in range(min(threads + 1, SLOTS))]
     pending = collections.deque()
-    pool = concurrent.futures.ThreadPoolExecutor(threads)
+    pool = concurrent.futures.ThreadPoolExecutor(threads, initializer=_mark_worker)
     try:
         for i, s in enumerate(slices):
             if len(pending) == len(slots):

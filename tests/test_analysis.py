@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from upsample_audit import analysis as ana
+from upsample_audit import signals as sig
 from upsample_audit.signals import Signal, ones, tone, white_noise
 from upsample_audit.upsamplers import (
     LiftingParams,
@@ -405,6 +406,28 @@ class TestMeasureResponse:
         db = 10.0 * np.log10(np.maximum(acc / total, 1e-30))
         assert resp.sample_rate_hz == 4 * fs
         assert np.array_equal(resp.freqs_hz, np.linspace(0.0, 2.0 * fs, 257))
+        assert np.array_equal(resp.magnitude_db, db - db[0])
+
+    @pytest.mark.parametrize("block_bytes", [1 << 22, 64 << 10], ids=["default", "64KiB"])
+    @pytest.mark.parametrize("spec", [UpsamplerSpec(kind="sinc", factor=4, seed=5),
+                                      UpsamplerSpec(kind="transposed", factor=4, filter_length=9, stride=4, seed=6)],
+                             ids=["sinc", "transposed"])
+    def test_a_streamed_layer_measures_as_its_whole_output(self, monkeypatch, workers, spec, block_bytes):
+        # The layer's blocks go straight to the STFT and the edges are trimmed by a column offset; the
+        # numbers are those of the whole output, trimmed by a copy, bit for bit.
+        monkeypatch.setattr(sig, "BLOCK_BYTES", block_bytes)
+        workers(1)
+        n, fs, realizations = 1 << 13, 8000, 2
+        resp = ana.measure_response(spec, fs, realizations=realizations, n=n)
+        w = np.hanning(512)
+        acc, total = None, 0
+        for r in range(realizations):
+            trimmed = apply(spec, white_noise(n, fs, spec.seed + 1_000_000 + r)).data[0, 2048:-2048]
+            frames = np.stack([trimmed[i : i + 512] for i in range(0, trimmed.size - 512 + 1, 256)])
+            power = (np.abs(np.fft.rfft(frames * w, axis=1)) ** 2).sum(axis=0)
+            acc = power if acc is None else acc + power
+            total += frames.shape[0]
+        db = 10.0 * np.log10(np.maximum(acc / total, 1e-30))
         assert np.array_equal(resp.magnitude_db, db - db[0])
 
     def test_window_size_must_be_a_power_of_two(self):

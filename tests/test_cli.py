@@ -20,6 +20,7 @@ from upsample_audit import analysis as ana
 from upsample_audit import cli
 from upsample_audit import signals as sig
 from upsample_audit.signals import MAX_WAV_DATA_BYTES, read_wav
+from upsample_audit.upsamplers import WaveletFilters
 
 
 def run_cli(*args, expect=0):
@@ -583,6 +584,17 @@ class TestVerify:
         assert summary["command"] == "verify"
         assert summary["failures"] == 0
         assert summary["passed"] is True
+
+    def test_the_haar_check_takes_the_products_of_a_blas_matmul_without_blas(self):
+        """einsum gives `grid @ taps` bit for bit, without waking OpenBLAS's threads; the printed line,
+        `value=1.77636e-15`, is pinned by tests/test_workers.py::VERIFY_LINES."""
+        filters = WaveletFilters.haar()
+        omega = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        grid = np.exp(-1j * np.outer(omega, np.arange(2)))
+        for taps in (filters.ls, filters.hs):
+            assert np.einsum("ij,j->i", grid, taps).tobytes() == (grid @ taps).tobytes()
+        ls, hs = (np.abs(np.einsum("ij,j->i", grid, taps)) ** 2 for taps in (filters.ls, filters.hs))
+        assert f"{float(np.max(np.abs(ls + hs - 2.0))):.6g}" == "1.77636e-15"
 
     def test_pr_checks_its_50_signals_in_one_call_per_configuration(self, monkeypatch):
         """Haar and lazy at 1 and 2 levels, 20 lifting triples at 1 and 2 levels, and the odd-length case: 45 calls.

@@ -1,7 +1,9 @@
 """The analysis pass on worker threads: its outputs do not depend on the worker
 count, a refusal in the middle of a pass stops it cleanly, no thread outlives
 the pass that made it, so a forked child's pass completes, and the channel
-energies do not depend on BLAS's thread count."""
+energies do not depend on BLAS's thread count. A pass started on a worker runs
+inline, and verify's measurements, computed on one pass's threads, print the
+same lines, and stop at the same failure, on any worker count."""
 
 import concurrent.futures
 import contextlib
@@ -320,3 +322,99 @@ def test_channel_energies_do_not_depend_on_the_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         sums.append(proc.stdout)
     assert sums[1] == sums[0]
+
+
+def test_a_pass_started_on_a_worker_runs_inline(monkeypatch, workers, futures):
+    # An outer pass of 9 slices pools; each of its calls runs a 9-block avg_spectrum, a pass that would
+    # pool on its own, inline in its worker, so one pool is made and at most its threads run.
+    sizes = []
+    init = concurrent.futures.ThreadPoolExecutor.__init__
+
+    def recorded(pool, max_workers=None, *args, **kwargs):
+        sizes.append(max_workers)
+        init(pool, max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__", recorded)
+    threads = threading.active_count()
+    running = []
+
+    def measure(_slot, seed):
+        x = sig.Signal(_noise(1, 9 * 65536 + 256, seed), RATE)  # 256 frames a block at hop 256: 9 blocks
+        running.append(threading.active_count())
+        return ana.avg_spectrum(x).magnitude_db
+
+    results = []
+    for count in (1, 2):
+        workers(count)
+        results.append(list(sig.ordered_map(measure, range(20, 29), lambda: None)))
+    assert sizes == [2]
+    assert len(futures) == 9
+    assert max(running) <= threads + 2
+    assert [a.tobytes() for a in results[1]] == [a.tobytes() for a in results[0]]
+    assert threading.active_count() == threads
+
+
+VERIFY_LINES = {
+    "response": [
+        "[response] haar |Ls|^2+|Hs|^2 = 2 on 4096-point grid: value=1.77636e-15 < 1e-09 PASS",
+        "[response] haar synthesis path flatness: value=0.15727 <= 1 PASS",
+        "[response] stretch response flatness: value=0.092465 <= 1 PASS",
+        "[response] stretch band attenuation spread: value=0.014101 <= 1 PASS",
+        "[response] nearest x4 vs analytic rectangular response: value=0.144173 <= 1 PASS",
+        "[response] linear x4 vs analytic triangular response: value=0.357097 <= 1 PASS",
+        "[response] sinc x4 vs analytic windowed-sinc response: value=0.428873 <= 1 PASS",
+        "[response] nearest x2 vs analytic two-tap response: value=0.184307 <= 1 PASS",
+        "[response] sinc stopband attenuation (bands 1-3): value=40.4552 >= 30 PASS",
+        "[response] linear band 3 below nearest band 3: value=-16.5875 < 0 PASS",
+        '{"schema": 1, "command": "verify", "suite": "response", "checks": 10, "failures": 0, "passed": true}',
+    ],
+    "tonal": [
+        "[tonal] stretch on ones prominence at 8000 Hz: value=107.959 >= 40 PASS",
+        "[tonal] stretch on ones prominence at 16000 Hz: value=107.959 >= 40 PASS",
+        "[tonal] nearest on ones max prominence: value=0 <= 6 PASS",
+        "[tonal] linear on ones max prominence: value=0 <= 6 PASS",
+        "[tonal] sinc on ones max prominence: value=0 <= 6 PASS",
+        "[tonal] transposed L=4 S=4 tonal hits over 10 seeds: value=10 >= 9 PASS",
+        "[tonal] transposed L=8 S=4 tonal hits over 10 seeds: value=10 >= 9 PASS",
+        "[tonal] transposed L=9 S=4 tonal hits over 10 seeds: value=10 >= 9 PASS",
+        "[tonal] subpixel L=9 tonal hits over 10 seeds: value=10 >= 9 PASS",
+        "[tonal] stretch imaging line placement (bins off prediction): value=0 <= 1 PASS",
+        "[tonal] sinc image suppression relative to carrier: value=-51.7422 <= -30 PASS",
+        '{"schema": 1, "command": "verify", "suite": "tonal", "checks": 11, "failures": 0, "passed": true}',
+    ],
+}
+MEASUREMENTS = {"response": 13, "tonal": 10}  # each suite's independent measurements, one pass's calls
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("suite", ["response", "tonal"])
+def test_verify_suites_print_the_same_lines_on_any_worker_count(capsys, workers, futures, suite, count):
+    # Each suite computes its measurements on one pass's threads and prints its lines in order as they
+    # arrive; on one worker the pass runs inline. Both print the lines the suites printed one at a time.
+    workers(count)
+    threads = threading.active_count()
+    assert cli.main(["verify", "--suite", suite]) == 0
+    assert capsys.readouterr().out.splitlines() == VERIFY_LINES[suite]
+    assert len(futures) == (0 if count == 1 else MEASUREMENTS[suite])
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_failing_measurement_stops_its_suite_after_the_lines_before_it(monkeypatch, capsys, workers, futures,
+                                                                         count):
+    measure = cli._masked_response_diff
+
+    def failing(spec):
+        if spec.kind == "linear":
+            raise ValueError("the linear measurement failed")
+        return measure(spec)
+
+    monkeypatch.setattr(cli, "_masked_response_diff", failing)
+    workers(count)
+    threads = threading.active_count()
+    assert cli.main(["verify", "--suite", "response"]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == VERIFY_LINES["response"][:5]  # up to the nearest x4 check, as one at a time
+    assert err == "error: the linear measurement failed\n"
+    assert all(future.done() for future in futures)
+    assert threading.active_count() == threads
