@@ -46,7 +46,7 @@ def main():
         print(f"  measured vs analytic, worst kept bin: {diff:.3f} dB "
               f"({np.count_nonzero(~keep)} of {keep.size} bins excluded around nulls)")
         grid = np.linspace(0.0, FACTOR * FS_IN / 2.0, 9)
-        idx = [int(round(f / measured.freqs_hz[-1] * (measured.freqs_hz.size - 1))) for f in grid]
+        idx = [measured.bin_of(f) for f in grid]
 
         def row(db):
             return "  ".join(f"{db[i]:8.2f}" if db[i] > -120 else "    null" for i in idx)

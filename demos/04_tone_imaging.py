@@ -21,10 +21,9 @@ F0 = 1000.0
 
 
 def line_levels(spectrum, freqs):
-    bin_hz = spectrum.freqs_hz[1] - spectrum.freqs_hz[0]
     out = []
     for f in freqs:
-        center = int(round(f / bin_hz))
+        center = spectrum.bin_of(f)
         window = spectrum.magnitude_db[max(center - 2, 0) : center + 3]
         out.append(float(window.max()))
     return out

@@ -53,7 +53,7 @@ from functools import partial
 import numpy as np
 
 from .signals import (
-    BLOCK_BYTES, SLOTS, Blocks, Signal, _all_finite, _integer, frame_blocks, frozen, ordered_map,
+    BLOCK_BYTES, SLOTS, Blocks, Signal, _all_finite, _integer, _sample_rate, frame_blocks, frozen, ordered_map,
     readonly_float64, white_noise,
 )
 from .upsamplers.config import WAVELET_KINDS, UpsamplerSpec, _check_factor, apply_blocks
@@ -219,6 +219,7 @@ class Spectrogram:
         if not _all_finite(arr):
             raise ValueError("spectrogram magnitudes must be finite")
         object.__setattr__(self, "magnitudes_db", arr)
+        object.__setattr__(self, "sample_rate_hz", _sample_rate(self.sample_rate_hz))
 
     @property
     def num_frames(self) -> int:
@@ -241,39 +242,45 @@ def spectrogram(x: Signal, window_size: int = 512, hop: int = 128, window: str =
     return Spectrogram(frozen(db), x.sample_rate_hz, window_size, hop, window)
 
 
-def _freeze_grid(spectrum) -> None:
-    """Store a (freqs_hz, magnitude_db) pair read-only under Signal's ownership rule, and check it."""
-    freqs, db = readonly_float64(spectrum.freqs_hz), readonly_float64(spectrum.magnitude_db)
-    if freqs.ndim != 1 or db.shape != freqs.shape:
-        raise ValueError("frequency grid and magnitudes must be matching 1D arrays")
-    if np.any(np.diff(freqs) <= 0):
-        raise ValueError("frequency grid must be strictly ascending")
-    object.__setattr__(spectrum, "freqs_hz", freqs)
-    object.__setattr__(spectrum, "magnitude_db", db)
-
-
 @dataclass(frozen=True)
-class AveragedSpectrum:
-    """Welch-style averaged magnitude spectrum in dB on an ascending Hz grid."""
+class _Spectrum:
+    """Magnitudes in dB on the rFFT grid of their rate: bins evenly spaced from 0 to Nyquist, as an even window
+    gives them. The grid is derived, not stored, so bin_of cannot misread it. The magnitudes follow Signal's
+    ownership rule and must be finite, and the rate follows Signal's rule."""
 
-    freqs_hz: np.ndarray
     magnitude_db: np.ndarray
     sample_rate_hz: int
-    num_frames: int
 
     def __post_init__(self):
-        _freeze_grid(self)
+        db = readonly_float64(self.magnitude_db)
+        if db.ndim != 1 or db.size == 0:
+            raise ValueError("spectrum magnitudes must be a non-empty 1D array")
+        if not _all_finite(db):
+            raise ValueError("spectrum magnitudes must be finite")
+        object.__setattr__(self, "magnitude_db", db)
+        object.__setattr__(self, "sample_rate_hz", _sample_rate(self.sample_rate_hz))
 
     @property
     def num_bins(self) -> int:
-        return self.freqs_hz.size
+        return self.magnitude_db.size
+
+    @property
+    def freqs_hz(self) -> np.ndarray:
+        return _rfft_freqs(self.sample_rate_hz, 2 * (self.num_bins - 1))
 
     def bin_of(self, freq_hz: float) -> int:
-        """Index of the bin nearest freq_hz on the uniform 0..Nyquist grid."""
+        """Index of the bin nearest freq_hz."""
         nyquist = self.sample_rate_hz / 2.0
         if not 0.0 <= freq_hz <= nyquist:
             raise ValueError(f"candidate {freq_hz} Hz outside [0, {nyquist}] Hz")
         return int(round(freq_hz / nyquist * (self.num_bins - 1)))
+
+
+@dataclass(frozen=True)
+class AveragedSpectrum(_Spectrum):
+    """Welch-style averaged magnitude spectrum in dB, the mean of num_frames frames."""
+
+    num_frames: int
 
 
 def avg_spectrum(x: Signal, window_size: int = 512) -> AveragedSpectrum:
@@ -328,8 +335,7 @@ def _spectrogram_stream(x, window_size: int, hop: int, window: str, out, average
     total = _sum_frames(kept_frames())  # the pass; None unless averaging
     if not average:
         return sink, None
-    return sink, AveragedSpectrum(_rfft_freqs(x.sample_rate_hz, w.size), _to_db(total / averaged / w.sum()),
-                                  x.sample_rate_hz, averaged)
+    return sink, AveragedSpectrum(_to_db(total / averaged / w.sum()), x.sample_rate_hz, averaged)
 
 
 def average_spectra(spectra) -> AveragedSpectrum:
@@ -343,7 +349,7 @@ def average_spectra(spectra) -> AveragedSpectrum:
             raise ValueError("spectra must share the frequency grid")
     linear = np.stack([10.0 ** (sp.magnitude_db / 20.0) for sp in spectra]).mean(axis=0)
     db = _to_db(linear)
-    return AveragedSpectrum(first.freqs_hz, db, first.sample_rate_hz, sum(sp.num_frames for sp in spectra))
+    return AveragedSpectrum(db, first.sample_rate_hz, sum(sp.num_frames for sp in spectra))
 
 
 def _input_rate(fs_in: int) -> int:
@@ -407,17 +413,16 @@ def band_attenuation(spectrum: AveragedSpectrum, fs_in: int, factor: int) -> np.
     """
     factor = _check_factor(factor)
     fs_in = _input_rate(fs_in)
-    span = factor * fs_in / 2.0
-    if spectrum.freqs_hz[-1] < span * (1.0 - 1e-9):
+    if spectrum.sample_rate_hz < factor * fs_in:
         raise ValueError(
-            f"spectrum spans {spectrum.freqs_hz[-1]} Hz but bands need {span} Hz"
+            f"spectrum spans {spectrum.sample_rate_hz / 2.0} Hz but bands need {factor * fs_in / 2.0} Hz"
         )
+    freqs = spectrum.freqs_hz
     band_width = fs_in / 2.0
-    band_idx = np.minimum((spectrum.freqs_hz // band_width).astype(int), factor - 1)
+    band_idx = np.minimum((freqs // band_width).astype(int), factor - 1)
     if np.bincount(band_idx, minlength=factor).min() == 0:
         raise ValueError(
-            f"bands of fs_in/2 = {band_width:g} Hz are narrower than one rFFT bin "
-            f"({spectrum.freqs_hz[1] - spectrum.freqs_hz[0]:g} Hz)"
+            f"bands of fs_in/2 = {band_width:g} Hz are narrower than one rFFT bin ({freqs[1] - freqs[0]:g} Hz)"
         )
     means = np.array([spectrum.magnitude_db[band_idx == b].mean() for b in range(factor)])
     return means - means[0]
@@ -464,15 +469,11 @@ def artifact_report(
 
 
 @dataclass(frozen=True)
-class FrequencyResponse:
+class FrequencyResponse(_Spectrum):
     """Magnitude response in dB on [0, fs/2], normalized to 0 dB at DC."""
 
-    freqs_hz: np.ndarray
-    magnitude_db: np.ndarray
-    sample_rate_hz: int
-
     def __post_init__(self):
-        _freeze_grid(self)
+        super().__post_init__()
         if abs(self.magnitude_db[0]) > 1e-9:
             raise ValueError("response must be normalized to 0 dB at DC")
 
@@ -513,7 +514,6 @@ def measure_response(
     if realizations < 1:
         raise ValueError(f"need at least one realization, got {realizations}")
     fs_in, n, window_size = _input_rate(fs_in), _integer("n", n), _integer("window_size", window_size)
-    fs_out = spec.factor * fs_in
     acc = 0.0
     total_frames = 0
     for r in range(realizations):
@@ -537,15 +537,17 @@ def measure_response(
         acc = acc + _sum_frames(mags ** 2 for _, mags, _ in blocks())
         total_frames += frames
     db = 10.0 * np.log10(np.maximum(acc / total_frames, _POWER_FLOOR))
-    return FrequencyResponse(_rfft_freqs(fs_out, window_size), db - db[0], fs_out)
+    return FrequencyResponse(db - db[0], spec.factor * fs_in)
 
 
 def analytic_response(taps: np.ndarray, window_size: int, fs_out: int) -> FrequencyResponse:
-    """DFT magnitude of an FIR filter on the measurement grid, 0 dB at DC."""
+    """DFT magnitude of an FIR filter on the measurement grid (an even window_size's), 0 dB at DC."""
     window_size = _integer("window_size", window_size)
+    if window_size % 2:
+        raise ValueError(f"window size must be even, got {window_size}")
     mags = np.abs(np.fft.rfft(np.asarray(taps, dtype=np.float64), window_size))
     db = 20.0 * np.log10(np.maximum(mags, 1e-15))
-    return FrequencyResponse(_rfft_freqs(fs_out, window_size), db - db[0], fs_out)
+    return FrequencyResponse(db - db[0], fs_out)
 
 
 _NULL_WIDTH = 2

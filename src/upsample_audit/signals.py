@@ -140,6 +140,14 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _sample_rate(value) -> int:
+    """A sample rate as a positive int, by the integer rule: the one check of every type that carries a rate."""
+    rate = _integer("sample_rate_hz", value)
+    if rate <= 0:
+        raise ValueError(f"sample rate must be positive, got {value}")
+    return rate
+
+
 def _all_finite(arr: np.ndarray) -> bool:
     """Whether every value of arr is finite, read from its min and max.
 
@@ -179,11 +187,8 @@ class Signal:
             raise ValueError("signal must contain at least one sample")
         if not _all_finite(arr):
             raise ValueError("signal samples must be finite")
-        rate = _integer("sample_rate_hz", self.sample_rate_hz)
-        if rate <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "sample_rate_hz", rate)
+        object.__setattr__(self, "sample_rate_hz", _sample_rate(self.sample_rate_hz))
 
     @property
     def channels(self) -> int:
@@ -234,6 +239,9 @@ class Blocks:
     sample_rate_hz: int
     fill: Callable
     padded = False  # a class constant, not a field (see Signal.padded)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sample_rate_hz", _sample_rate(self.sample_rate_hz))
 
     def read(self, cols: slice) -> np.ndarray:
         """Columns `cols` as a read-only float64 array filled afresh, refused if it holds a non-finite sample."""
@@ -468,8 +476,6 @@ def wav_blocks(path) -> Blocks:
     count = size // dtype.itemsize
     if count == 0 or count % ch:
         raise ValueError(f"{path}: data chunk size does not match the channel count")
-    if rate <= 0:
-        raise ValueError(f"sample rate must be positive, got {rate}")  # as Signal says
 
     def fill(out, cols):
         with open(path, "rb") as fh:

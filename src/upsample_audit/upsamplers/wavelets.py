@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..signals import Signal, frozen, readonly_float64
+from ..signals import Signal, _all_finite, frozen, readonly_float64
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class WaveletFilters:
-    """Analysis pair (la, ha) and the synthesis pair (ls, hs) derived by time reversal, all read-only."""
+    """Analysis pair (la, ha), finite, and the synthesis pair (ls, hs) derived by time reversal, all read-only."""
 
     la: np.ndarray
     ha: np.ndarray
@@ -47,6 +47,8 @@ class WaveletFilters:
         la, ha = readonly_float64(self.la), readonly_float64(self.ha)
         if la.ndim != 1 or ha.ndim != 1 or la.size == 0 or ha.size == 0:
             raise ValueError("wavelet filters must be non-empty 1D sequences")
+        if not (_all_finite(la) and _all_finite(ha)):
+            raise ValueError("wavelet filters must be finite")
         for name, arr in (("la", la), ("ha", ha), ("ls", la[::-1]), ("hs", ha[::-1])):
             object.__setattr__(self, name, readonly_float64(arr))
 

@@ -16,8 +16,7 @@ from upsample_audit.upsamplers import (
 
 
 def _flat_spectrum(db_value, bins=257, fs=8000, frames=16):
-    freqs = np.linspace(0.0, fs / 2.0, bins)
-    return ana.AveragedSpectrum(freqs, np.full(bins, float(db_value)), fs, frames)
+    return ana.AveragedSpectrum(np.full(bins, float(db_value)), fs, frames)
 
 
 class TestSpectrogram:
@@ -124,9 +123,29 @@ class TestAveragedSpectrum:
         with pytest.raises(ValueError, match="^hann window of 2 samples has no positive sum$"):
             ana.avg_spectrum(white_noise(2048, 8000, 0), 2)
 
-    def test_grid_must_ascend(self):
-        with pytest.raises(ValueError, match="ascending"):
-            ana.AveragedSpectrum(np.array([0.0, 2.0, 1.0]), np.zeros(3), 8000, 16)
+
+class TestGrid:
+    """Both 1-D spectrum types derive their grid from their rate and bin count: the rFFT grid bin_of reads."""
+
+    @pytest.mark.parametrize("window_size", [256, 512])
+    def test_freqs_are_the_rfft_grid_of_the_rate(self, window_size):
+        spectra = [ana.avg_spectrum(white_noise(1 << 13, 8000, 5), window_size),
+                   ana.analytic_response(np.ones(4), window_size, 32000),
+                   ana.measure_response(UpsamplerSpec(kind="stretch", factor=2), 8000, 1, 1 << 13, window_size)]
+        for spectrum in spectra:
+            want = ana._rfft_freqs(spectrum.sample_rate_hz, window_size)
+            assert np.array_equal(spectrum.freqs_hz, want) and spectrum.num_bins == want.size
+            np.testing.assert_allclose(spectrum.freqs_hz, np.fft.rfftfreq(window_size, 1 / spectrum.sample_rate_hz))
+
+    @pytest.mark.parametrize("freq", [250.0, 992.0, 1000.0, 3007.0])
+    def test_a_line_at_bin_of_reads_its_own_prominence(self, freq):
+        # 992 Hz is the line a stored non-uniform grid once hid: bin_of then picked the bin at 250 Hz.
+        db = np.full(257, -60.0)
+        db[0] = 0.0  # a response's DC reference
+        for make in (lambda d: ana.AveragedSpectrum(d, 8000, 16), lambda d: ana.FrequencyResponse(d, 8000)):
+            line = db.copy()
+            line[make(db).bin_of(freq)] = 0.0
+            assert ana.tonal_prominence(make(line), freq) == 60.0
 
 
 class TestAverageSpectra:
@@ -172,7 +191,7 @@ class TestTonalProminence:
         spec = _flat_spectrum(-60.0)
         db = spec.magnitude_db.copy()
         db[128] = 0.0
-        spec = ana.AveragedSpectrum(spec.freqs_hz, db, 8000, 16)
+        spec = ana.AveragedSpectrum(db, 8000, 16)
         assert ana.tonal_prominence(spec, 2000.0) == pytest.approx(60.0, abs=1e-12)
 
     def test_invariant_under_global_gain(self):
@@ -180,8 +199,8 @@ class TestTonalProminence:
         rng = np.random.Generator(np.random.Philox(8))
         db = -60.0 + rng.normal(0.0, 3.0, 257)
         db[100] += 30.0
-        a = ana.AveragedSpectrum(freqs, db, 8000, 16)
-        b = ana.AveragedSpectrum(freqs, db + 12.5, 8000, 16)
+        a = ana.AveragedSpectrum(db, 8000, 16)
+        b = ana.AveragedSpectrum(db + 12.5, 8000, 16)
         pa = ana.tonal_prominence(a, freqs[100])
         pb = ana.tonal_prominence(b, freqs[100])
         assert pa == pytest.approx(pb, abs=1e-12)
@@ -201,7 +220,7 @@ class TestTonalProminence:
         spec = _flat_spectrum(-60.0)
         db = spec.magnitude_db.copy()
         db[128] = -52.0
-        spec = ana.AveragedSpectrum(spec.freqs_hz, db, 8000, 16)
+        spec = ana.AveragedSpectrum(db, 8000, 16)
         hits = ana.detect_tonal_peaks(spec, [2000.0], threshold_db=6.0)
         assert len(hits) == 1
         assert hits[0].freq_hz == 2000.0
@@ -226,7 +245,7 @@ class TestBandAttenuation:
         db[freqs >= 4000.0] = -12.0
         db[freqs >= 8000.0] = -24.0
         db[freqs >= 12000.0] = -36.0
-        spec = ana.AveragedSpectrum(freqs, db, 32000, 16)
+        spec = ana.AveragedSpectrum(db, 32000, 16)
         bands = ana.band_attenuation(spec, 8000, 4)
         assert bands[0] == pytest.approx(0.0, abs=0.2)
         np.testing.assert_allclose(np.diff(bands), [-12.0, -12.0, -12.0], atol=0.5)
@@ -287,6 +306,22 @@ class TestIntegerParameters:
         assert ana.replica_frequencies(8000, 4.0) == ana.replica_frequencies(8000, np.int64(4)) == [8000.0, 16000.0]
         spectrum = _flat_spectrum(-10.0, fs=32000)
         np.testing.assert_array_equal(ana.band_attenuation(spectrum, 8000, 4.0), ana.band_attenuation(spectrum, 8000, 4))
+
+    @pytest.mark.parametrize("rate, message", [(0, "sample rate must be positive, got 0"),
+                                               (-8000, "sample rate must be positive, got -8000"),
+                                               (8000.5, "sample_rate_hz must be an integer, got 8000.5")],
+                             ids=["0", "-8000", "8000.5"])
+    @pytest.mark.parametrize("make", [
+        lambda rate: Signal(np.zeros(8), rate),
+        lambda rate: sig.Blocks(1, 8, rate, lambda out, cols: None),
+        lambda rate: ana.Spectrogram(np.zeros((3, 5)), rate, 8, 4, "hann"),
+        lambda rate: ana.AveragedSpectrum(np.zeros(5), rate, 16),
+        lambda rate: ana.FrequencyResponse(np.zeros(5), rate),
+    ], ids=["Signal", "Blocks", "Spectrogram", "AveragedSpectrum", "FrequencyResponse"])
+    def test_every_type_that_carries_a_rate_follows_signals_rule(self, make, rate, message):
+        with pytest.raises(ValueError) as info:
+            make(rate)
+        assert str(info.value) == message
 
     def test_a_rate_of_zero_is_still_refused_as_not_positive(self):
         with pytest.raises(ValueError, match="^sample rate must be positive, got 0.0$"):
@@ -443,6 +478,11 @@ class TestMeasureResponse:
         with pytest.raises(ValueError, match=f"need at least one realization, got {realizations}"):
             ana.measure_response(UpsamplerSpec(kind="stretch", factor=2), 8000, realizations)
 
+    def test_analytic_response_refuses_an_odd_window(self):
+        # 511 points give 256 bins, whose last np.fft.rfftfreq puts at 15968.7 Hz, not at Nyquist.
+        with pytest.raises(ValueError, match="^window size must be even, got 511$"):
+            ana.analytic_response(np.ones(4), 511, 32000)
+
     def test_analytic_response_of_a_two_tap_hold(self):
         resp = ana.analytic_response(np.array([1.0, 1.0]), 512, 16000.0)
         k = np.arange(resp.freqs_hz.size)
@@ -476,9 +516,8 @@ class TestNullExclusion:
 
 class TestFrequencyResponseType:
     def test_dc_normalization_enforced(self):
-        freqs = np.linspace(0.0, 4000.0, 257)
         with pytest.raises(ValueError, match="0 dB at DC"):
-            ana.FrequencyResponse(freqs, np.full(257, -3.0), 8000)
+            ana.FrequencyResponse(np.full(257, -3.0), 8000)
 
 
 class TestPerfectReconstruction:

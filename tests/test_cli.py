@@ -297,7 +297,7 @@ class TestUpsample:
         assert cli.main(argv) == 0
         assert read_wav(out).num_samples == 63 * 4 + 9
 
-    def test_output_rate_beyond_the_wav_header_is_refused_before_apply(self, tmp_path, monkeypatch, capsys):
+    def test_output_rate_beyond_the_wav_header_is_refused_before_a_file_is_opened(self, tmp_path, monkeypatch, capsys):
         src = make_wav(tmp_path, "in.wav", "--kind", "noise", "--n", 64, "--fs", 600_000_000)
         out = tmp_path / "up.wav"
         argv = ["upsample", "--in", src, "--out", out, "--layer", "stretch", "--factor", 8]
@@ -306,7 +306,7 @@ class TestUpsample:
             "error: sample rate 4800000000 Hz at 4 bytes per frame exceeds the WAV header's 32-bit byte rate"
         ]
         assert not out.exists()
-        monkeypatch.setattr(cli, "apply_blocks", lambda spec, x: pytest.fail("apply_blocks ran before the rate check"))
+        monkeypatch.setattr(sig, "replacing", lambda *a: pytest.fail("write_wav opened a file before the rate check"))
         assert cli.main(list(map(str, argv))) == 2
         assert not out.exists()
 

@@ -13,8 +13,8 @@ import pytest
 
 from upsample_audit import cli
 from upsample_audit import signals as sig
-from upsample_audit.analysis import Spectrogram
-from upsample_audit.upsamplers import KINDS, LiftingParams, UpsamplerSpec, apply
+from upsample_audit.analysis import AveragedSpectrum, FrequencyResponse, Spectrogram
+from upsample_audit.upsamplers import KINDS, LiftingParams, UpsamplerSpec, WaveletFilters, apply
 from upsample_audit.upsamplers.config import WAVELET_KINDS
 
 
@@ -77,11 +77,18 @@ class TestOwnership:
             sig.Signal(arr, 8000)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_spectrogram_is_scanned(self, bad):
-        arr = np.zeros((3, 5))
-        arr[2, 4] = bad
-        with pytest.raises(ValueError, match="^spectrogram magnitudes must be finite$"):
-            Spectrogram(arr, 8000, 8, 4, "hann")
+    @pytest.mark.parametrize("make, message", [
+        (lambda a: Spectrogram(a.reshape(3, 5), 8000, 8, 4, "hann"), "spectrogram magnitudes must be finite"),
+        (lambda a: AveragedSpectrum(a, 8000, 16), "spectrum magnitudes must be finite"),
+        (lambda a: FrequencyResponse(a, 8000), "spectrum magnitudes must be finite"),
+        (lambda a: WaveletFilters(la=a, ha=np.ones(15)), "wavelet filters must be finite"),
+        (lambda a: WaveletFilters(la=np.ones(15), ha=a), "wavelet filters must be finite"),
+    ], ids=["Spectrogram", "AveragedSpectrum", "FrequencyResponse", "WaveletFilters-la", "WaveletFilters-ha"])
+    def test_every_held_array_is_scanned(self, make, message, bad):
+        arr = np.zeros(15)
+        arr[14] = bad
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(arr)
 
     def test_spectrogram_without_frames_is_accepted(self):
         assert Spectrogram(np.zeros((0, 5)), 8000, 8, 4, "hann").num_frames == 0
